@@ -5,8 +5,9 @@ from a compiled DEM, decode, count logical failures.  This module owns
 that loop.  Shots are sharded into fixed-size chunks (rounded up to a
 multiple of 64 so packed batches stay word-aligned), every chunk gets
 its own RNG substream spawned from one :class:`numpy.random.SeedSequence`
-root, and chunks run either inline or fanned out over processes (fork
-start method, like the paper's 48-core runs in §6.1).
+root, and chunks run either inline or fanned out over processes
+(:func:`repro.core.parallel.process_pool`, like the paper's 48-core runs
+in §6.1).
 
 Chunk results stream back in chunk order regardless of worker count and
 are accumulated in that order, so the outcome — including ``max_failures``
@@ -20,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -31,6 +31,7 @@ import numpy as np
 
 from .. import obs
 from ..analysis.stats import RateEstimate
+from ..core.parallel import process_pool
 from ..decoders.base import Decoder
 from ..decoders.metrics import LogicalErrorRate, MemoryResult, dem_for, make_decoder
 from ..decoders.syncache import SyndromeCache
@@ -398,16 +399,10 @@ def run_shot_chunks(
                     break
     else:
         workers = min(workers, len(jobs), os.cpu_count() or 1)
-        # Prefer fork (cheap workers, DEM shared copy-on-write, like the
-        # paper's multicore runs); fall back to the platform default where
-        # fork is unavailable — correctness is unaffected, only startup cost.
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=ctx,
-            initializer=_init_worker,
-            initargs=(dem, basis, decoder, dense_reference, syndrome_cache_dir),
+        pool = process_pool(
+            workers,
+            _init_worker,
+            (dem, basis, decoder, dense_reference, syndrome_cache_dir),
         )
         try:
             # Keep a bounded in-flight window and consume results strictly
@@ -550,13 +545,10 @@ def make_stratified_pool(
     shutdown.
     """
     workers = min(workers, os.cpu_count() or 1)
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=ctx,
-        initializer=_init_stratified_worker,
-        initargs=(dem, basis, decoder, max_weight, mode),
+    return process_pool(
+        workers,
+        _init_stratified_worker,
+        (dem, basis, decoder, max_weight, mode),
     )
 
 

@@ -1,20 +1,20 @@
 /* Native kernels for the packed-bit hot spots.
  *
- * Compiled at runtime by repro.gf2.kernels (plain `cc -O3 -shared -fPIC`,
- * optionally with -fopenmp) and loaded through ctypes — no build step, no
- * new dependency; if no compiler is available the pure-numpy backends take
- * over.  Every function here is bit-identical to its numpy reference
- * (pinned by tests/test_kernels.py).
+ * Compiled at runtime by repro.gf2.kernels (plain `cc -O3 -shared -fPIC`)
+ * and loaded through ctypes — no build step, no new dependency; if no
+ * compiler is available the pure-numpy backend takes over.  Every function
+ * here is bit-identical to its numpy reference (pinned by
+ * tests/test_kernels.py).
+ *
+ * Everything runs on the calling thread.  The callers parallelize with
+ * forked worker processes, and a thread team started here in the parent
+ * would not exist in a forked child, which would then wait on it forever.
  *
  * Bit conventions match repro.gf2.bitmat.pack_rows: bit j of a row lives
  * in word j/64 at little-endian bit position j%64.
  */
 
 #include <stdint.h>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 /* 64x64 bit transpose of one block, little-endian butterfly network
  * (Hacker's Delight 7-3, mirrored for little-endian bit order exactly
@@ -53,9 +53,6 @@ static void transpose64(uint64_t w[64]) {
 void repro_transpose_words(const uint64_t *in, uint64_t *out,
                            long row_blocks, long nwords) {
   const long nblocks = row_blocks * nwords;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
   for (long t = 0; t < nblocks; t++) {
     const long b = t / nwords;
     const long c = t % nwords;
@@ -74,9 +71,6 @@ void repro_transpose_words(const uint64_t *in, uint64_t *out,
 
 /* Per-row popcount: out[i] = number of set bits in row i of (m, n). */
 void repro_popcount_rows(const uint64_t *in, long m, long n, int64_t *out) {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
   for (long i = 0; i < m; i++) {
     const uint64_t *row = in + i * n;
     int64_t total = 0;
@@ -98,9 +92,6 @@ void repro_popcount_rows(const uint64_t *in, long m, long n, int64_t *out) {
 /* splitmix64-style fold of multi-word rows to one uint64 hash key each —
  * the sort key for the hash-grouped unique_shot_words fast path. */
 void repro_fold_rows(const uint64_t *in, long m, long n, uint64_t *out) {
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
   for (long i = 0; i < m; i++) {
     const uint64_t *row = in + i * n;
     uint64_t h = 0x9E3779B97F4A7C15ULL;

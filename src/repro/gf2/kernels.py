@@ -19,26 +19,27 @@ dispatch point:
     The original vectorized single-thread implementations — the pinned
     reference every other backend is parity-tested against bit for bit
     (``tests/test_kernels.py``).
-``threads``
-    The numpy kernels sharded across a thread pool for large inputs
-    (numpy releases the GIL inside its ufunc loops), plus a hash-fold
-    grouping fast path: multi-word keys are folded to one ``uint64``
-    with a splitmix64 mix and sorted on that single key instead of
-    lexsorted column by column, with exact collision repair — the
-    grouping is identical, only group *order* differs (explicitly
-    arbitrary by contract; callers map through ``inverse``).
 ``cnative``
     A tiny C translation unit (``_kernels.c``) compiled on first use
-    with the system compiler (``cc -O3 -shared -fPIC``, with OpenMP
-    threading when available), loaded through ctypes, and self-tested
-    against the numpy reference before it is ever trusted.  No build
-    step, no new dependency: if anything in that chain is missing the
-    resolver silently falls back.
+    with the system compiler (``cc -O3 -shared -fPIC``), loaded through
+    ctypes, and self-tested against the numpy reference before it is
+    ever trusted.  Grouping sorts on a splitmix64 hash-fold of each
+    multi-word key instead of lexsorting column by column, with exact
+    collision repair — the grouping is identical, only group *order*
+    differs (explicitly arbitrary by contract; callers map through
+    ``inverse``).  No build step, no new dependency: if anything in that
+    chain is missing the resolver silently falls back.
+
+Both run on the calling thread only.  Parallelism is the process
+fan-out of the shot runner and the subgraph sampler
+(:func:`repro.core.parallel.process_pool`); a kernel that started its own
+thread team would leave forked workers waiting on threads that do not
+exist in the child.
 
 Selection happens at import from ``REPRO_KERNELS`` (``auto`` |
-``numpy`` | ``threads`` | ``cnative``; default ``auto`` = best
-available).  ``REPRO_KERNEL_THREADS`` caps the thread fan-out.  Tests
-switch backends with :func:`set_backend` / :func:`use_backend`.
+``numpy`` | ``cnative``; default ``auto`` = ``cnative`` when it compiles
+and passes its self-test, else ``numpy``).  Tests switch backends with
+:func:`set_backend` / :func:`use_backend`.
 
 The dense-reference decode paths never route through here — they stay
 pinned to plain numpy — so litmus tests compare every backend against
@@ -53,7 +54,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -223,19 +223,7 @@ class NumpyBackend:
         )
 
 
-# -- hash-fold grouping (threads + cnative fast path) --------------------------
-
-
-def _fold_rows_numpy(keys: np.ndarray) -> np.ndarray:
-    """splitmix64-style fold of each row to one uint64 sort key."""
-    with np.errstate(over="ignore"):
-        h = np.full(keys.shape[0], 0x9E3779B97F4A7C15, dtype=np.uint64)
-        for w in range(keys.shape[1]):
-            v = keys[:, w] + h
-            v = (v ^ (v >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            v = (v ^ (v >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-            h = v ^ (v >> np.uint64(31))
-    return h
+# -- hash-fold grouping (the cnative fast path) --------------------------------
 
 
 def _unique_hashfold(per_shot: np.ndarray, fold) -> tuple[np.ndarray, np.ndarray]:
@@ -289,87 +277,6 @@ def _unique_hashfold(per_shot: np.ndarray, fold) -> tuple[np.ndarray, np.ndarray
     return _assemble_groups(per_shot, nz_idx, has_zero, inverse, unique_nz, inv_nz)
 
 
-# -- threaded backend ----------------------------------------------------------
-
-# Below this many words a kernel runs serially: thread handoff costs
-# more than it saves.
-_THREAD_MIN_WORDS = 1 << 15
-
-
-def _thread_count() -> int:
-    env = os.environ.get("REPRO_KERNEL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
-
-
-class ThreadedBackend(NumpyBackend):
-    """Numpy kernels sharded across threads + hash-fold grouping."""
-
-    name = "threads"
-
-    def __init__(self, threads: int | None = None):
-        self.threads = threads if threads is not None else _thread_count()
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _executor(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.threads, thread_name_prefix="repro-kernel"
-            )
-        return self._pool
-
-    def transpose_words(self, words: np.ndarray, ncols: int) -> np.ndarray:
-        words = _check_words_2d(words)
-        m, nwords = words.shape
-        row_blocks = max(1, (m + _WORD - 1) // _WORD)
-        if self.threads <= 1 or m * max(1, nwords) < _THREAD_MIN_WORDS:
-            return super().transpose_words(words, ncols)
-        # 64-row block groups are independent: transpose each slice with
-        # the reference kernel, then stitch the output word columns.
-        per = max(1, -(-row_blocks // self.threads))
-        spans = [
-            (b * _WORD, min(m, (b + per) * _WORD))
-            for b in range(0, row_blocks, per)
-        ]
-        base = super(ThreadedBackend, self)
-        futures = [
-            self._executor().submit(base.transpose_words, words[lo:hi], ncols)
-            for lo, hi in spans
-        ]
-        return np.ascontiguousarray(np.hstack([f.result() for f in futures]))
-
-    def popcount_words(
-        self, words: np.ndarray, axis: int | None = None
-    ) -> np.ndarray | int:
-        arr = np.asarray(words, dtype=np.uint64)
-        if (
-            self.threads <= 1
-            or arr.ndim != 2
-            or axis not in (None, 1)
-            or arr.size < _THREAD_MIN_WORDS
-        ):
-            return super().popcount_words(words, axis)
-        per = max(1, -(-arr.shape[0] // self.threads))
-        base = super(ThreadedBackend, self)
-        futures = [
-            self._executor().submit(base.popcount_words, arr[lo : lo + per], 1)
-            for lo in range(0, arr.shape[0], per)
-        ]
-        counts = np.concatenate([f.result() for f in futures])
-        if axis is None:
-            return int(counts.sum())
-        return counts
-
-    def unique_shot_words(
-        self, per_shot: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return _unique_hashfold(per_shot, _fold_rows_numpy)
-
-
 # -- native (C + ctypes) backend ------------------------------------------------
 
 
@@ -381,43 +288,50 @@ def _native_cache_dir() -> str:
 
 
 def _compile_native() -> ctypes.CDLL | None:
-    """Compile ``_kernels.c`` into a cached shared object and load it."""
-    compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
+    """Compile ``_kernels.c`` into a cached shared object and load it.
+
+    The cache tag covers the source, the flags and the compiler's
+    identity (resolved path, size and mtime of the executable), so a
+    different ``CC`` or an upgraded compiler never loads an object some
+    other compiler built.  Reading that identity is a ``stat``, not a
+    compiler run, so a warm cache costs nothing at import.
+    """
+    compiler = shutil.which(os.environ.get("CC") or shutil.which("cc") or "gcc")
     if compiler is None:
         return None
     src = os.path.join(os.path.dirname(__file__), "_kernels.c")
     try:
         with open(src, "rb") as fh:
             source = fh.read()
+        stat = os.stat(compiler)
     except OSError:
         return None
-    for extra in (["-fopenmp"], []):
-        flags = ["-O3", "-shared", "-fPIC", *extra]
-        tag = hashlib.sha256(source + " ".join(flags).encode()).hexdigest()[:16]
-        cache_dir = _native_cache_dir()
-        so_path = os.path.join(cache_dir, f"repro_kernels_{tag}.so")
-        if not os.path.exists(so_path):
-            try:
-                os.makedirs(cache_dir, exist_ok=True)
-                tmp = so_path + f".tmp{os.getpid()}"
-                subprocess.run(
-                    [compiler, *flags, src, "-o", tmp],
-                    check=True,
-                    capture_output=True,
-                    timeout=120,
-                )
-                os.replace(tmp, so_path)  # atomic under concurrent builders
-            except (OSError, subprocess.SubprocessError):
-                continue
+    flags = ["-O3", "-shared", "-fPIC"]
+    identity = [os.path.realpath(compiler), str(stat.st_size), str(stat.st_mtime_ns)]
+    tag = hashlib.sha256(source + " ".join(flags + identity).encode()).hexdigest()
+    cache_dir = _native_cache_dir()
+    so_path = os.path.join(cache_dir, f"repro_kernels_{tag[:16]}.so")
+    if not os.path.exists(so_path):
         try:
-            return ctypes.CDLL(so_path)
-        except OSError:
-            continue
-    return None
+            os.makedirs(cache_dir, exist_ok=True)
+            tmp = so_path + f".tmp{os.getpid()}"
+            subprocess.run(
+                [compiler, *flags, src, "-o", tmp],
+                check=True,
+                capture_output=True,
+                timeout=120,
+            )
+            os.replace(tmp, so_path)  # atomic under concurrent builders
+        except (OSError, subprocess.SubprocessError):
+            return None
+    try:
+        return ctypes.CDLL(so_path)
+    except OSError:
+        return None
 
 
 class CNativeBackend(NumpyBackend):
-    """ctypes-loaded C kernels (OpenMP-threaded when the compiler has it)."""
+    """ctypes-loaded C kernels, single-threaded like the reference."""
 
     name = "cnative"
 
@@ -536,31 +450,20 @@ def _native_backend() -> CNativeBackend | None:
 def _make_backend(name: str) -> NumpyBackend | None:
     if name == "numpy":
         return NumpyBackend()
-    if name == "threads":
-        backend = ThreadedBackend()
-        return backend if _self_test(backend) else None
     if name == "cnative":
         return _native_backend()
     if name == "auto":
-        native = _native_backend()
-        if native is not None:
-            return native
-        if _thread_count() > 1:
-            threaded = ThreadedBackend()
-            if _self_test(threaded):
-                return threaded
-        return NumpyBackend()
-    raise ValueError(f"unknown kernel backend {name!r}")
+        return _native_backend() or NumpyBackend()
+    raise ValueError(
+        f"unknown kernel backend {name!r}; expected one of auto, numpy, cnative"
+    )
 
 
 def available_backends() -> list[str]:
     """Names of the backends that actually work on this machine."""
-    names = ["numpy"]
-    if _self_test(ThreadedBackend()):
-        names.append("threads")
-    if _native_backend() is not None:
-        names.append("cnative")
-    return names
+    if _native_backend() is None:
+        return ["numpy"]
+    return ["numpy", "cnative"]
 
 
 def set_backend(name: str) -> str:

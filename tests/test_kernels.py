@@ -1,14 +1,17 @@
 """Bit-for-bit parity of every kernel backend against the numpy reference.
 
 The contract (ROADMAP item 2): whatever backend ``repro.gf2.kernels``
-selects at import — numpy, threads, or the runtime-compiled C library —
-the three hot-spot kernels produce results indistinguishable from the
+selects at import — numpy or the runtime-compiled C library — the
+three hot-spot kernels produce results indistinguishable from the
 pinned numpy reference.  ``transpose_words`` and ``popcount_words`` must
 match exactly; ``unique_shot_words`` must produce the same *grouping*
 (group order is arbitrary by contract, so equality is checked through
 ``inverse``).  On top of the kernel-level checks, the full packed≡dense
 decoder litmus runs once per backend on a real circuit-level DEM.
 """
+
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -52,15 +55,45 @@ class TestBackendRegistry:
     def test_active_backend_is_listed(self):
         assert kernels.backend_name() in BACKENDS
 
+    def test_only_numpy_and_cnative(self):
+        assert set(BACKENDS) <= {"numpy", "cnative"}
+
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.set_backend("fpga")
+        # The message names every valid choice; a leftover "threads"
+        # from older configurations is unknown like any other name.
+        for name in ("fpga", "threads"):
+            with pytest.raises(ValueError, match="auto, numpy, cnative"):
+                kernels.set_backend(name)
 
     def test_use_backend_restores(self):
         before = kernels.backend_name()
         with kernels.use_backend("numpy"):
             assert kernels.backend_name() == "numpy"
         assert kernels.backend_name() == before
+
+
+class TestNativeCache:
+    def test_other_compiler_builds_its_own_object(self, tmp_path, monkeypatch):
+        cc = shutil.which("cc") or shutil.which("gcc")
+        if cc is None:
+            pytest.skip("no C compiler")
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(cache))
+        monkeypatch.setenv("CC", cc)
+        assert kernels._compile_native() is not None
+        first = set(os.listdir(cache))
+        assert len(first) == 1
+        # Same compiler behind another executable: the cached object
+        # must not be reused, so the wrapper must actually run.
+        marker = tmp_path / "wrapper-ran"
+        wrapper = tmp_path / "cc-wrapper"
+        wrapper.write_text(f'#!/bin/sh\ntouch "{marker}"\nexec "{cc}" "$@"\n')
+        wrapper.chmod(0o755)
+        monkeypatch.setenv("CC", str(wrapper))
+        assert kernels._compile_native() is not None
+        assert marker.exists()
+        objects = set(os.listdir(cache))
+        assert len(objects) == 2 and first < objects
 
 
 class TestTransposeParity:

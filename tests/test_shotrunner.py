@@ -3,8 +3,9 @@
 The contract under test: with the same ``SeedSequence`` root, the
 runner's output — including streaming order and ``max_failures`` early
 stopping — is independent of the worker count.  The same property is
-pinned for :mod:`repro.core.parallel`, the other process fan-out in the
-codebase.
+pinned for :func:`repro.core.parallel.sample_and_solve`, the subgraph
+sampler that shares the runner's process pool
+(:func:`repro.core.parallel.process_pool`).
 """
 
 import threading
