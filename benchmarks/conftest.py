@@ -1,8 +1,9 @@
 """Shared benchmark configuration.
 
 Every benchmark regenerates one of the paper's tables or figures at
-laptop scale and prints the rows it produced (compare against
-EXPERIMENTS.md).  Benchmarks run each experiment exactly once —
+laptop scale and prints the rows it produced (README.md's "Running
+experiments" section has the runner targets that make them at other
+scales).  Benchmarks run each experiment exactly once —
 they are end-to-end experiment drivers, not microbenchmarks.
 """
 

@@ -1,4 +1,4 @@
-"""Bench: ablations of PropHunt's design choices (see DESIGN.md)."""
+"""Bench: ablations of PropHunt's design choices (``repro.experiments.ablations``)."""
 
 from repro.experiments import ablations
 

@@ -21,7 +21,7 @@ import pytest
 from repro.circuits import coloration_schedule, nz_schedule
 from repro.codes import load_benchmark_code
 from repro.decoders.metrics import dem_for
-from repro.experiments.shotrunner import run_shot_chunks
+from repro.experiments.shotrunner import ExecutionConfig, run_shot_chunks
 from repro.noise import NoiseModel
 
 SURFACE_SHOTS = 100_000
@@ -55,8 +55,7 @@ def _ler_loop(dem, shots, dense_reference):
         shots,
         basis="z",
         rng=np.random.default_rng(0),
-        chunk_size=20_000,
-        dense_reference=dense_reference,
+        config=ExecutionConfig(chunk_shots=20_000, dense_reference=dense_reference),
     )
 
 

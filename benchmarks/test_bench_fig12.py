@@ -5,7 +5,7 @@ short optimization runs, modest shot counts.  For the full suite run
 
     python -m repro.experiments.runner fig12 --full
 
-(see EXPERIMENTS.md for paper-scale parameters and recorded outputs).
+(see README.md's "Running experiments" section).
 """
 
 from repro.experiments import fig12_benchmarks

@@ -17,7 +17,7 @@ import pytest
 from repro.circuits import nz_schedule
 from repro.codes import load_benchmark_code
 from repro.decoders.metrics import dem_for
-from repro.experiments.shotrunner import run_shot_chunks
+from repro.experiments.shotrunner import ExecutionConfig, run_shot_chunks
 from repro.noise import NoiseModel
 from repro.rareevent import estimate_ler_stratified
 
@@ -73,7 +73,10 @@ def test_direct_reference_surface_d5_lowp(benchmark, d5_dem, stratified):
     budget = stratified.shots
     direct = benchmark.pedantic(
         lambda: run_shot_chunks(
-            d5_dem, shots=budget, rng=np.random.default_rng(1), chunk_size=50_000
+            d5_dem,
+            shots=budget,
+            rng=np.random.default_rng(1),
+            config=ExecutionConfig(chunk_shots=50_000),
         ),
         rounds=1,
         iterations=1,

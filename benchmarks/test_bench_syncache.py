@@ -31,7 +31,7 @@ import pytest
 from repro.circuits import nz_schedule
 from repro.codes import load_benchmark_code
 from repro.decoders.metrics import dem_for
-from repro.experiments.shotrunner import run_shot_chunks
+from repro.experiments.shotrunner import ExecutionConfig, run_shot_chunks
 from repro.noise import NoiseModel
 
 SURFACE_SHOTS = 100_000
@@ -61,8 +61,10 @@ def _ler_loop(dem, cache_dir, shots=SURFACE_SHOTS):
         shots,
         basis="z",
         rng=np.random.default_rng(0),
-        chunk_size=20_000,
-        syndrome_cache_dir=None if cache_dir is None else str(cache_dir),
+        config=ExecutionConfig(
+            chunk_shots=20_000,
+            syndrome_cache_dir=None if cache_dir is None else str(cache_dir),
+        ),
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from repro.circuits import coloration_schedule
 from repro.codes import load_benchmark_code
 from repro.core import PropHunt, PropHuntConfig
-from repro.decoders import estimate_logical_error_rate
+from repro.experiments.shotrunner import ExecutionConfig, estimate_logical_error_rate
 
 
 def main() -> None:
@@ -37,11 +37,12 @@ def main() -> None:
         start = coloration_schedule(code)
         config = PropHuntConfig(iterations=3, samples_per_iteration=24, seed=1)
         optimized = PropHunt(code, config).optimize(start).final_schedule
+        capped = ExecutionConfig(max_failures=300)
         before = estimate_logical_error_rate(
-            code, start, p=args.p, shots=args.shots, rng=rng, max_failures=300
+            code, start, p=args.p, shots=args.shots, rng=rng, config=capped
         ).rate
         after = estimate_logical_error_rate(
-            code, optimized, p=args.p, shots=args.shots, rng=rng, max_failures=300
+            code, optimized, p=args.p, shots=args.shots, rng=rng, config=capped
         ).rate
         gain = before / after if after > 0 else float("inf")
         print(

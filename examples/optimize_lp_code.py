@@ -18,7 +18,7 @@ from repro.analysis.deff import estimate_effective_distance
 from repro.circuits import coloration_schedule
 from repro.codes import load_benchmark_code
 from repro.core import PropHunt, PropHuntConfig
-from repro.decoders import estimate_logical_error_rate
+from repro.experiments.shotrunner import estimate_logical_error_rate
 
 
 def main() -> None:

@@ -13,7 +13,7 @@ import numpy as np
 from repro.circuits import nz_schedule, poor_schedule
 from repro.codes import rotated_surface_code
 from repro.core import PropHunt, PropHuntConfig
-from repro.decoders import estimate_logical_error_rate
+from repro.experiments.shotrunner import estimate_logical_error_rate
 
 
 def main() -> None:

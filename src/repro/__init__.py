@@ -6,11 +6,11 @@ Public API quick tour::
     from repro.codes import rotated_surface_code, load_benchmark_code
     from repro.circuits import coloration_schedule, build_memory_experiment
     from repro.core import PropHunt, PropHuntConfig
-    from repro.decoders import estimate_logical_error_rate
+    from repro.experiments.shotrunner import estimate_logical_error_rate
     from repro.zne import HookZNE, DistanceScalingZNE
 
-See README.md for a narrative quickstart and DESIGN.md for the
-system inventory and per-experiment index.
+See README.md for a narrative quickstart; its "Running experiments"
+section lists the runner target of every paper table and figure.
 """
 
 from . import (

@@ -92,10 +92,10 @@ def evaluate(
     :class:`~repro.decoders.metrics.LogicalErrorRate`.
     """
     from .experiments.campaign import resolve_code, resolve_schedule
-    from .experiments.shotrunner import estimate_logical_error_rate_chunked
+    from .experiments.shotrunner import estimate_logical_error_rate
 
     code_obj = resolve_code(code)
-    return estimate_logical_error_rate_chunked(
+    return estimate_logical_error_rate(
         code_obj,
         resolve_schedule(code_obj, schedule),
         p,

@@ -26,7 +26,7 @@ from .analysis.deff import estimate_effective_distance
 from .circuits import coloration_schedule
 from .codes import BENCHMARK_CODES, load_benchmark_code
 from .core import PropHunt, PropHuntConfig
-from .decoders import estimate_logical_error_rate
+from .experiments.shotrunner import ExecutionConfig, estimate_logical_error_rate
 
 
 def broken_pipe_safe(fn):
@@ -131,8 +131,8 @@ def cmd_evaluate(args) -> int:
             p=args.p,
             shots=args.shots,
             rng=rng,
-            workers=args.workers,
             noise=noise,
+            config=ExecutionConfig(workers=args.workers),
         )
         print(f"LER @ p={args.p:g} : {ler.rate:.3e} ({ler.shots} shots/basis)")
     return 0
@@ -213,7 +213,8 @@ def cmd_campaign_run(args) -> int:
 
     spec = _load_campaign_spec(args)
     store = ResultStore(args.store)
-    report = run_campaign(spec, store=store, workers=args.workers, progress=print)
+    execution = ExecutionConfig(workers=args.workers)
+    report = run_campaign(spec, store=store, config=execution, progress=print)
     print(
         f"campaign {spec.name!r}: {len(report.jobs)} jobs, "
         f"{report.hits} store hits, {len(report.executed)} executed"
@@ -231,9 +232,7 @@ def cmd_campaign_run(args) -> int:
         # campaign must be pure store hits — zero sampling or decoding.
         # Reopened from disk, so the JSONL write/reload round trip is
         # part of what the gate verifies.
-        resumed = run_campaign(
-            spec, store=ResultStore(args.store), workers=args.workers
-        )
+        resumed = run_campaign(spec, store=ResultStore(args.store), config=execution)
         if resumed.executed:
             print(
                 f"resume check FAILED: {len(resumed.executed)} jobs recomputed"
@@ -563,8 +562,9 @@ def cmd_optimize(args) -> int:
             f"depth={r.cnot_depth} ({r.elapsed:.1f}s)"
         )
     rng = np.random.default_rng(args.seed)
+    execution = ExecutionConfig(workers=args.workers)
     before = estimate_logical_error_rate(
-        code, start, p=args.p, shots=args.shots, rng=rng, workers=args.workers
+        code, start, p=args.p, shots=args.shots, rng=rng, config=execution
     )
     after = estimate_logical_error_rate(
         code,
@@ -572,7 +572,7 @@ def cmd_optimize(args) -> int:
         p=args.p,
         shots=args.shots,
         rng=rng,
-        workers=args.workers,
+        config=execution,
     )
     print(f"\nLER @ p={args.p:g}: {before.rate:.3e} -> {after.rate:.3e}")
     if after.rate > 0:

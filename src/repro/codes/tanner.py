@@ -133,7 +133,7 @@ def search_rqt_code(
     """Seed-search random generator sets until the code has ``target_k``.
 
     Returns (code, seed).  Raises if no seed within ``max_seeds`` matches —
-    callers should then relax the target (documented in EXPERIMENTS.md).
+    callers should then relax the target.
     """
     for seed in range(max_seeds):
         rng = np.random.default_rng(seed)

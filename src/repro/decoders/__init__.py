@@ -1,4 +1,4 @@
-"""Decoders: MWPM, BP+OSD, exact lookup, and the LER pipeline."""
+"""Decoders (MWPM, BP+OSD, exact lookup) and the LER pipeline's DEM helpers."""
 
 from .base import Decoder
 from .bposd import BpOsdDecoder
@@ -8,7 +8,6 @@ from .metrics import (
     LogicalErrorRate,
     MemoryResult,
     dem_for,
-    estimate_logical_error_rate,
     make_decoder,
 )
 from .syncache import SyndromeCache
@@ -23,6 +22,5 @@ __all__ = [
     "LogicalErrorRate",
     "MemoryResult",
     "dem_for",
-    "estimate_logical_error_rate",
     "make_decoder",
 ]

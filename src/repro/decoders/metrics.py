@@ -1,10 +1,12 @@
-"""The logical-error-rate estimation pipeline.
+"""The logical-error-rate pipeline's decoder-side pieces.
 
-Ties the stack together: build the memory experiment for a (code,
-schedule, basis), apply the noise model, extract the DEM, sample shots,
-decode, and count mispredictions.  The paper's reported logical error
-rates "include both logical X and Z error rates" (§6.1): both memory
-bases are simulated and combined as independent failure modes.
+Build the memory experiment for a (code, schedule, basis), apply the
+noise model and extract the DEM (:func:`dem_for`); pick a decoder
+(:func:`make_decoder`); hold per-basis and combined results.  The paper's
+reported logical error rates "include both logical X and Z error rates"
+(§6.1): both memory bases are simulated and combined as independent
+failure modes.  The shot loop that fills these results is
+:func:`repro.experiments.shotrunner.estimate_logical_error_rate`.
 
 The sample→decode→count loop is packed end to end: chunks are sampled
 bit-packed (:meth:`~repro.sim.sampler.DemSampler.sample_packed`),
@@ -18,8 +20,6 @@ mispredictions are counted by XOR/popcount
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..analysis.stats import RateEstimate
 from ..circuits.builder import build_memory_experiment
@@ -103,56 +103,3 @@ class LogicalErrorRate:
             f"rate={self.rate:.3e})"
         )
 
-
-def estimate_logical_error_rate(
-    code: CSSCode,
-    schedule: Schedule,
-    p: float,
-    shots: int = 10_000,
-    rounds: int | None = None,
-    bases: tuple[str, ...] = ("z", "x"),
-    decoder: str = "auto",
-    idle_strength: float = 0.0,
-    rng: np.random.Generator | None = None,
-    max_failures: int | None = None,
-    batch_size: int = 5_000,
-    workers: int = 1,
-    noise: "NoiseSpec | str | dict | None" = None,
-) -> LogicalErrorRate:
-    """Monte-Carlo logical error rate of one SM circuit at error rate p.
-
-    Samples in chunks of ``batch_size`` shots until ``shots`` or
-    ``max_failures`` is reached (the latter caps time spent on
-    high-error configurations); ``workers > 1`` fans chunks out over
-    processes.  The shot loop itself lives in
-    :mod:`repro.experiments.shotrunner` — one chunked, bit-packed,
-    optionally parallel entry point shared by every experiment.
-
-    ``noise`` selects the scenario: ``None`` is uniform depolarizing at
-    ``p`` (+ ``idle_strength``); a token like ``"biased:10,pm=0.003"``
-    or an inline ``noise-spec-v1`` payload routes through
-    :func:`repro.noise.spec.resolve_noise`.
-    """
-    # Imported lazily: the experiments package imports this module.
-    from ..experiments.shotrunner import (
-        ExecutionConfig,
-        estimate_logical_error_rate_chunked,
-    )
-
-    return estimate_logical_error_rate_chunked(
-        code,
-        schedule,
-        p,
-        shots=shots,
-        rounds=rounds,
-        bases=bases,
-        decoder=decoder,
-        idle_strength=idle_strength,
-        rng=rng,
-        noise=noise,
-        config=ExecutionConfig(
-            workers=workers,
-            chunk_shots=batch_size,
-            max_failures=max_failures,
-        ),
-    )

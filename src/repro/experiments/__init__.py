@@ -1,4 +1,5 @@
-"""One module per paper table/figure; see DESIGN.md for the index."""
+"""One module per paper table/figure; README.md's "Running experiments"
+section lists their runner targets."""
 
 from . import (
     ablations,
@@ -23,7 +24,7 @@ from .service import serve_campaign, worker_loop
 from .store import ResultStore
 from .shotrunner import (
     ExecutionConfig,
-    estimate_logical_error_rate_chunked,
+    estimate_logical_error_rate,
     run_shot_chunks,
     run_stratified_chunks,
 )
@@ -35,7 +36,7 @@ __all__ = [
     "ExperimentResult",
     "ResultStore",
     "campaign",
-    "estimate_logical_error_rate_chunked",
+    "estimate_logical_error_rate",
     "run_campaign",
     "run_shot_chunks",
     "run_stratified_chunks",

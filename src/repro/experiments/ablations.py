@@ -26,11 +26,11 @@ from ..circuits import build_flagged_memory_experiment, poor_schedule
 from ..codes import rotated_surface_code
 from ..core import DecodingGraph, PropHunt, PropHuntConfig, find_ambiguous_subgraph
 from ..core.minweight import solve_min_weight_logical
-from ..decoders import estimate_logical_error_rate
 from ..decoders.metrics import dem_for
 from ..noise.model import NoiseModel
 from ..sim.dem import extract_dem
 from .common import ExperimentResult
+from .shotrunner import estimate_logical_error_rate, run_shot_chunks
 
 
 def run_change_types(
@@ -165,8 +165,6 @@ def run_flags_vs_prophunt(
     # Flag-augmented poor schedule, decoded with BP+OSD on the full DEM
     # (flag detectors are hyperedges, so matching does not apply).  Shots
     # go through the chunked packed runner like every other LER loop.
-    from .shotrunner import run_shot_chunks
-
     rates = {}
     for basis in ("z", "x"):
         exp = build_flagged_memory_experiment(code, start, rounds=3, basis=basis)

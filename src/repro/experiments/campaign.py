@@ -61,7 +61,7 @@ from ..noise.spec import NoiseSpec, noise_display, resolve_noise
 from ..sim.dem import DetectorErrorModel
 from ..sim.sampler import DemSampler
 from .store import ResultStore, canonical_json, job_key
-from .shotrunner import ExecutionConfig, resolve_execution, run_shot_chunks
+from .shotrunner import ExecutionConfig, run_shot_chunks
 
 _JOBS_EXECUTED = obs.counter("campaign.executed")
 _JOBS_HIT = obs.counter("campaign.hits")
@@ -470,7 +470,6 @@ def execute_job(
     job: CampaignJob,
     cache: CompileCache | None = None,
     config: ExecutionConfig | None = None,
-    **legacy,
 ) -> dict[str, Any]:
     """Run one job and return its JSON-safe, *deterministic* result payload.
 
@@ -483,11 +482,10 @@ def execute_job(
     (:func:`run_campaign`, the service workers), never the result.
 
     Execution knobs ride ``config`` (an
-    :class:`~repro.experiments.shotrunner.ExecutionConfig`; the old
-    ``workers``/``syndrome_cache_dir`` keywords still work with a
-    one-time deprecation warning).  The job's own hashed ``chunk_size``
-    and ``max_failures`` override whatever the config carries — those
-    two affect results, so the content address owns them.
+    :class:`~repro.experiments.shotrunner.ExecutionConfig`).  The job's
+    own hashed ``chunk_size`` and ``max_failures`` override whatever the
+    config carries — those two affect results, so the content address
+    owns them.
 
     ``config.syndrome_cache_dir`` enables the persistent
     syndrome→correction cache (:mod:`repro.decoders.syncache`): the
@@ -497,8 +495,8 @@ def execute_job(
     deliberately *not* part of the job key, and resumed campaigns stay
     byte-identical.
     """
-    cfg = resolve_execution("execute_job", config, legacy)
     cache = cache or CompileCache()
+    cfg = config or ExecutionConfig()
     cfg = cfg.replace(
         chunk_shots=job.chunk_size,
         max_failures=job.max_failures,
@@ -608,14 +606,24 @@ def as_store(store: ResultStore | str | None) -> ResultStore:
     return ResultStore(store)
 
 
+def syndrome_cache_dir_for(cfg: ExecutionConfig, store_path: str | None) -> str | None:
+    """Where a campaign's persistent syndrome→correction cache lives.
+
+    ``cfg.syndrome_cache_dir`` when set; otherwise ``<store>/syndromes``
+    for an on-disk store (shared by every run and worker on that
+    directory) and no cache for an in-memory store.
+    """
+    if cfg.syndrome_cache_dir:
+        return cfg.syndrome_cache_dir
+    return None if store_path is None else os.path.join(store_path, "syndromes")
+
+
 def run_campaign(
     spec: CampaignSpec | Sequence[CampaignJob],
     store: ResultStore | str | None = None,
-    workers: int | None = None,
     cache: CompileCache | None = None,
     progress: Callable[[str], None] | None = None,
     labels: dict[str, str] | None = None,
-    syndrome_cache_dir: str | None = "auto",
     config: ExecutionConfig | None = None,
     meta: dict[str, Any] | None = None,
 ) -> CampaignReport:
@@ -623,40 +631,28 @@ def run_campaign(
 
     Completed jobs load from the store untouched (no DEM build, no
     sampling, no decoding); missing jobs run through the packed shot
-    runner / stratified estimator with ``workers`` fan-out and are
-    appended to the store as they finish — killing the process between
-    jobs loses nothing, and rerunning resumes exactly (byte-identical
-    results, since every job seeds from its own key).  ``labels`` maps
-    job keys to display names carried into stored records for
-    ``status``/``export``.
+    runner / stratified estimator with ``config.workers`` fan-out and
+    are appended to the store as they finish — killing the process
+    between jobs loses nothing, and rerunning resumes exactly
+    (byte-identical results, since every job seeds from its own key).
+    ``labels`` maps job keys to display names carried into stored
+    records for ``status``/``export``.
 
-    ``syndrome_cache_dir`` roots the persistent syndrome→correction
-    cache.  The default ``"auto"`` places it in ``<store>/syndromes``
-    for persistent stores (shared across runs of the same campaign
-    directory) and disables it for in-memory stores; pass ``None`` to
-    disable explicitly.  The cache only accelerates decoding — it is
-    deliberately not part of any job key, so resumed campaigns stay
-    byte-identical whether the cache is warm, cold, or deleted.
+    The persistent syndrome→correction cache goes where
+    :func:`syndrome_cache_dir_for` puts it.  The cache only accelerates
+    decoding — it is deliberately not part of any job key, so resumed
+    campaigns stay byte-identical whether the cache is warm, cold, or
+    deleted.
 
-    ``config`` carries the remaining execution knobs (an explicit
-    ``workers``/``syndrome_cache_dir`` argument wins over the config
-    field for backward compatibility).  ``meta`` seeds the per-run
-    provenance envelope stored with every executed record (the service
-    workers stamp their worker id); timing is always added.
+    ``meta`` seeds the per-run provenance envelope stored with every
+    executed record (the service workers stamp their worker id); timing
+    is always added.
     """
     jobs = spec.expand() if isinstance(spec, CampaignSpec) else list(spec)
     store = as_store(store)
     cache = cache or CompileCache()
     cfg = config or ExecutionConfig()
-    if workers is not None:
-        cfg = cfg.replace(workers=workers)
-    if syndrome_cache_dir == "auto":
-        syndrome_cache_dir = cfg.syndrome_cache_dir or (
-            os.path.join(store.path, "syndromes")
-            if store.path is not None
-            else None
-        )
-    cfg = cfg.replace(syndrome_cache_dir=syndrome_cache_dir)
+    cfg = cfg.replace(syndrome_cache_dir=syndrome_cache_dir_for(cfg, store.path))
     if obs.enabled() and obs.state.telemetry_dir is None:
         # Telemetry rides the store directory (sidecars only — never
         # record content); in-memory stores keep metrics but no traces.

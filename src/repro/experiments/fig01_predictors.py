@@ -21,6 +21,7 @@ from ..analysis.deff import estimate_effective_distance
 from ..codes import rotated_surface_code
 from .campaign import CampaignSpec, resolve_schedule, run_campaign
 from .common import ExperimentResult
+from .shotrunner import ExecutionConfig
 
 
 def schedule_tokens(seed: int) -> tuple[tuple[str, str], ...]:
@@ -56,7 +57,7 @@ def run(
     store=None,
 ) -> ExperimentResult:
     spec = campaign_spec(d=d, p=p, shots=shots, seed=seed)
-    report = run_campaign(spec, store=store, workers=workers)
+    report = run_campaign(spec, store=store, config=ExecutionConfig(workers=workers))
     by_config = {(j.schedule, j.basis): j for j in report.jobs}
     code = rotated_surface_code(d)
     rng = np.random.default_rng(seed)

@@ -18,6 +18,7 @@ from ..analysis.deff import estimate_effective_distance
 from ..codes import rotated_surface_code
 from .campaign import CampaignSpec, resolve_schedule, run_campaign
 from .common import ExperimentResult
+from .shotrunner import ExecutionConfig
 
 SCHEDULES = (("good (N-Z)", "nz"), ("poor", "poor"))
 
@@ -48,7 +49,7 @@ def run(
     store=None,
 ) -> ExperimentResult:
     spec = campaign_spec(d=d, p_values=p_values, shots=shots, seed=seed)
-    report = run_campaign(spec, store=store, workers=workers)
+    report = run_campaign(spec, store=store, config=ExecutionConfig(workers=workers))
     by_config = {
         (j.schedule, j.p, j.basis): j for j in report.jobs
     }

@@ -24,6 +24,7 @@ from ..codes import load_benchmark_code
 from ..core import PropHunt, PropHuntConfig
 from .campaign import CampaignJob, run_campaign
 from .common import ExperimentResult
+from .shotrunner import ExecutionConfig
 
 # Laptop-scale optimization budgets per code (paper: 25 iterations x 500
 # samples on 48 cores for every code).
@@ -111,7 +112,10 @@ def run(
         }
         labels = {job.key(): label for (label, _, _), job in jobs.items()}
         report = run_campaign(
-            list(jobs.values()), store=store, workers=workers, labels=labels
+            list(jobs.values()),
+            store=store,
+            config=ExecutionConfig(workers=workers),
+            labels=labels,
         )
         for p in p_values:
             for label, _, sched in circuits:

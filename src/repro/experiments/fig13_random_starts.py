@@ -13,8 +13,8 @@ import numpy as np
 from ..circuits import coloration_schedule
 from ..codes import load_benchmark_code
 from ..core import PropHunt, PropHuntConfig
-from ..decoders import estimate_logical_error_rate
 from .common import ExperimentResult
+from .shotrunner import ExecutionConfig, estimate_logical_error_rate
 
 
 def run(
@@ -35,6 +35,7 @@ def run(
     result = ExperimentResult(
         name=f"Figure 13: random coloration starts, {code.label()}, p={p:g}",
     )
+    execution = ExecutionConfig(workers=workers, max_failures=400)
     for start_idx in range(num_starts):
         start = coloration_schedule(code, np.random.default_rng(seed + 100 + start_idx))
         config = PropHuntConfig(
@@ -47,16 +48,10 @@ def run(
         )
         opt = PropHunt(code, config).optimize(start)
         before = estimate_logical_error_rate(
-            code, start, p=p, shots=shots, rng=rng, max_failures=400, workers=workers
+            code, start, p=p, shots=shots, rng=rng, config=execution
         )
         after = estimate_logical_error_rate(
-            code,
-            opt.final_schedule,
-            p=p,
-            shots=shots,
-            rng=rng,
-            max_failures=400,
-            workers=workers,
+            code, opt.final_schedule, p=p, shots=shots, rng=rng, config=execution
         )
         result.add(
             start=start_idx,

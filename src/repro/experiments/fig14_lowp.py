@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from .campaign import CampaignJob, run_campaign
 from .common import ExperimentResult
+from .shotrunner import ExecutionConfig
 
 
 def _min_failure_weight(distance: int | None, name: str) -> int:
@@ -127,7 +128,9 @@ def run(
         deep,
         seed,
     )
-    report = run_campaign([job for job, _ in pairs], store=store, workers=workers)
+    report = run_campaign(
+        [job for job, _ in pairs], store=store, config=ExecutionConfig(workers=workers)
+    )
 
     directs = {
         (j.code, j.p): j for j, _ in pairs if j.estimator == "direct"

@@ -21,6 +21,7 @@ from __future__ import annotations
 from ..codes import load_benchmark_code
 from .campaign import CampaignJob, run_campaign
 from .common import ExperimentResult
+from .shotrunner import ExecutionConfig
 
 
 def bias_token(eta: float, readout: float | None = None) -> str:
@@ -64,7 +65,7 @@ def run(
         for p in p_values
         for basis in ("z", "x")
     ]
-    report = run_campaign(jobs, store=store, workers=workers)
+    report = run_campaign(jobs, store=store, config=ExecutionConfig(workers=workers))
     result = ExperimentResult(
         name=f"Figure 15b: Pauli-bias sensitivity, {code.label()}",
         notes="eta = p_z / (p_x + p_y); eta=0.5 is the depolarizing "

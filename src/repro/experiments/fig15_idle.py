@@ -21,6 +21,7 @@ from ..codes import load_benchmark_code
 from ..noise import HARDWARE_IDLE_POINTS
 from .campaign import CampaignJob, resolve_schedule, run_campaign
 from .common import ExperimentResult
+from .shotrunner import ExecutionConfig
 
 
 def run(
@@ -67,7 +68,7 @@ def run(
         for strength in idle_strengths
         for basis in ("z", "x")
     ]
-    report = run_campaign(jobs, store=store, workers=workers)
+    report = run_campaign(jobs, store=store, config=ExecutionConfig(workers=workers))
     result = ExperimentResult(
         name=f"Figure 15: idle sensitivity, {code.label()}, gate p={p:g}",
         notes="hardware idle strengths: "

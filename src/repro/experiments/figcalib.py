@@ -28,6 +28,7 @@ from ..codes import load_benchmark_code
 from ..noise import DriftSchedule, NoiseSpec, synthetic_profile
 from .campaign import CampaignJob, run_campaign
 from .common import ExperimentResult
+from .shotrunner import ExecutionConfig
 
 SCENARIOS = ("uniform", "calibrated", "correlated", "drift")
 
@@ -97,7 +98,9 @@ def run(
         for (scenario, p) in noises
         for basis in ("z", "x")
     }
-    report = run_campaign(list(jobs.values()), store=store, workers=workers)
+    report = run_campaign(
+        list(jobs.values()), store=store, config=ExecutionConfig(workers=workers)
+    )
     result = ExperimentResult(
         name=f"Calibration sensitivity, {code.label()}",
         notes="uniform vs device-profile vs correlated+crosstalk vs "

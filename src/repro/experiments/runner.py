@@ -8,8 +8,7 @@ Regenerate any paper table/figure::
 
 ``--full`` switches from laptop-scale defaults to heavier parameters
 (closer to the paper's; still hours, not days).  Results print as plain
-tables; redirect to a file to archive them (EXPERIMENTS.md records one
-such run).
+tables; redirect to a file to archive them.
 """
 
 from __future__ import annotations

@@ -59,6 +59,7 @@ from .campaign import (
     CampaignSpec,
     CompileCache,
     execute_job,
+    syndrome_cache_dir_for,
 )
 from .shotrunner import ExecutionConfig
 from .store import DEFAULT_SHARD_PREFIX, ResultStore, canonical_json, job_key
@@ -432,9 +433,9 @@ def _worker_loop(
     # Workers always append sharded: a fleet's concurrent writes spread
     # over the shard files instead of contending on one results.jsonl.
     store = ResultStore(store_path, shard_prefix=DEFAULT_SHARD_PREFIX)
-    cfg = (config or ExecutionConfig()).replace(
-        syndrome_cache_dir=(config.syndrome_cache_dir if config else None)
-        or os.path.join(store_path, "syndromes"),
+    cfg = config or ExecutionConfig()
+    cfg = cfg.replace(
+        syndrome_cache_dir=syndrome_cache_dir_for(cfg, store_path),
         syndrome_writer_tag=worker_id,
     )
     cache = CompileCache()
@@ -594,7 +595,21 @@ def serve_campaign(
     in-process or external) or ``timeout`` seconds pass, whichever
     first; a timeout raises ``TimeoutError`` so an incomplete campaign
     can never masquerade as a finished one.
+
+    An in-process fleet cannot also fan shots out over processes: a
+    pool forked while the other worker threads hold locks (the metrics
+    registry's, say) hands the child those locks still held.  So
+    ``n_workers >= 1`` with ``config.workers > 1`` is a ``ValueError``,
+    raised before the queue is written; run ``n_workers=0`` plus
+    external ``repro campaign worker`` processes instead.
     """
+    if n_workers >= 1 and config is not None and config.workers > 1:
+        raise ValueError(
+            f"an in-process fleet (n_workers={n_workers}) cannot also fork "
+            f"shot-runner pools (config.workers={config.workers}); serve with "
+            "n_workers=0 and attach external 'repro campaign worker' processes, "
+            "each with its own workers"
+        )
     t0 = time.monotonic()
     store_path = os.fspath(store_path)
     jobs = spec.expand() if isinstance(spec, CampaignSpec) else list(spec)

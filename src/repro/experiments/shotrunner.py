@@ -22,7 +22,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -63,15 +62,10 @@ class ChunkResult:
 class ExecutionConfig:
     """How a shot loop executes — everything that is *not* the physics.
 
-    One bundle for the keyword sprawl that used to ride every runner
-    signature (``workers``, ``chunk_size``, ``max_failures``,
-    ``streaming``, ``dense_reference``, sampler/decoder injection, the
-    syndrome cache), threaded uniformly through
-    :func:`run_shot_chunks`,
-    :func:`estimate_logical_error_rate_chunked`, and
-    :func:`repro.experiments.campaign.execute_job`.  The old keywords
-    keep working through a deprecation shim that warns once per entry
-    point.
+    The one way to pass execution knobs to :func:`run_shot_chunks`,
+    :func:`estimate_logical_error_rate` and
+    :func:`repro.experiments.campaign.execute_job` (and, through them,
+    to every campaign and facade entry point).
 
     Only ``chunk_shots`` and ``max_failures`` affect results (chunking
     feeds RNG substreams; the failure cap truncates consumption) —
@@ -83,7 +77,6 @@ class ExecutionConfig:
     workers: int = 1
     chunk_shots: int = 5_000
     max_failures: int | None = None
-    streaming: bool = True
     dense_reference: bool = False
     sampler: DemSampler | None = None
     dec: Decoder | None = None
@@ -95,56 +88,6 @@ class ExecutionConfig:
 
     def replace(self, **changes) -> "ExecutionConfig":
         return dataclasses.replace(self, **changes)
-
-
-# Old keyword -> ExecutionConfig field, for the deprecation shim.
-_LEGACY_KEYWORDS = {
-    "workers": "workers",
-    "chunk_size": "chunk_shots",
-    "chunk_shots": "chunk_shots",
-    "max_failures": "max_failures",
-    "streaming": "streaming",
-    "dense_reference": "dense_reference",
-    "sampler": "sampler",
-    "dec": "dec",
-    "syndrome_cache_dir": "syndrome_cache_dir",
-    "syndrome_writer_tag": "syndrome_writer_tag",
-}
-
-_legacy_warned: set[str] = set()
-
-
-def resolve_execution(
-    entry_point: str,
-    config: ExecutionConfig | None,
-    legacy: dict[str, object],
-) -> ExecutionConfig:
-    """Merge legacy keyword arguments into an :class:`ExecutionConfig`.
-
-    Unknown keywords raise ``TypeError`` (they are typos, not legacy);
-    known ones override the config field they map to and emit one
-    ``DeprecationWarning`` per entry point per process.
-    """
-    config = config or ExecutionConfig()
-    if not legacy:
-        return config
-    unknown = set(legacy) - set(_LEGACY_KEYWORDS)
-    if unknown:
-        raise TypeError(
-            f"{entry_point}() got unexpected keyword arguments {sorted(unknown)}"
-        )
-    if entry_point not in _legacy_warned:
-        _legacy_warned.add(entry_point)
-        warnings.warn(
-            f"passing {sorted(legacy)} to {entry_point}() as keywords is "
-            "deprecated; bundle them in an ExecutionConfig "
-            "(repro.api.ExecutionConfig) and pass config=...",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return config.replace(
-        **{_LEGACY_KEYWORDS[k]: v for k, v in legacy.items()}
-    )
 
 
 def plan_chunks(shots: int, chunk_size: int) -> list[int]:
@@ -261,19 +204,11 @@ def _decode_chunk(
     return ChunkResult(index=index, shots=chunk_shots, failures=failures)
 
 
-def _run_chunk_with(
-    sampler: DemSampler,
-    dec: Decoder,
-    job: tuple[int, int, np.random.SeedSequence],
-    dense_reference: bool = False,
-) -> ChunkResult:
-    return _decode_chunk(dec, job, _sample_chunk(sampler, job), dense_reference)
-
-
 def _run_chunk(job: tuple[int, int, np.random.SeedSequence]) -> ChunkResult:
     if _WORKER_SAMPLER is None or _WORKER_DECODER is None:
         raise RuntimeError("worker pool not initialized")
-    return _run_chunk_with(_WORKER_SAMPLER, _WORKER_DECODER, job, _WORKER_DENSE)
+    batch = _sample_chunk(_WORKER_SAMPLER, job)
+    return _decode_chunk(_WORKER_DECODER, job, batch, _WORKER_DENSE)
 
 
 def run_shot_chunks(
@@ -284,14 +219,12 @@ def run_shot_chunks(
     rng: np.random.Generator | None = None,
     config: ExecutionConfig | None = None,
     on_chunk: Callable[[ChunkResult], None] | None = None,
-    **legacy,
 ) -> RateEstimate:
     """Sample/decode ``shots`` shots of one DEM in chunks.
 
     Execution knobs — worker fan-out, chunk size, early-stop cap,
-    streaming overlap, sampler/decoder injection, the persistent
-    syndrome cache — ride one :class:`ExecutionConfig` (the old
-    keywords still work, deprecation-warned once per process).
+    sampler/decoder injection, the persistent syndrome cache — ride one
+    :class:`ExecutionConfig`.
 
     ``on_chunk`` streams per-chunk results (in chunk order) to the
     caller as they are accumulated.  ``config.max_failures`` stops
@@ -306,12 +239,11 @@ def run_shot_chunks(
     inline path; with ``workers > 1`` each pool worker builds its own
     instead.
 
-    On the inline path, ``config.streaming`` (default) overlaps
-    sampling of chunk ``k+1`` (on a single prefetch thread) with
-    decoding of chunk ``k``.  Each chunk's sampling is a pure function
-    of its own spawned seed, so the overlap is bit-identical to the
-    sequential loop; a ``max_failures`` stop wastes at most one
-    presampled chunk.
+    On the inline path, sampling of chunk ``k+1`` (on a single prefetch
+    thread) overlaps decoding of chunk ``k``; a one-chunk run starts no
+    thread.  Each chunk's sampling is a pure function of its own spawned
+    seed, so the overlap is bit-identical to a sequential loop; a
+    ``max_failures`` stop wastes at most one presampled chunk.
 
     ``config.syndrome_cache_dir`` attaches a persistent
     :class:`~repro.decoders.syncache.SyndromeCache` (content-addressed
@@ -328,7 +260,7 @@ def run_shot_chunks(
     (:meth:`~repro.decoders.base.Decoder.count_failures_dense`) — same
     estimates by construction, kept for cross-checks and benchmarks.
     """
-    cfg = resolve_execution("run_shot_chunks", config, legacy)
+    cfg = config or ExecutionConfig()
     workers = cfg.workers
     max_failures = cfg.max_failures
     dense_reference = cfg.dense_reference
@@ -366,37 +298,33 @@ def run_shot_chunks(
                     dec, syndrome_cache_dir, writer_tag=cfg.syndrome_writer_tag
                 )
             )
-        if cfg.streaming and len(jobs) > 1:
-            # DemSampler is read-only after construction and each chunk
-            # samples from its own generator, so one prefetch thread can
-            # sample chunk k+1 while the main thread decodes chunk k.
-            # On early exit (max_failures tripped, or decode raised) the
-            # presampled chunk is discarded — shut down without waiting
-            # for it, or the caller would block on a full chunk sample
-            # nobody will read (tests/test_shotrunner.py pins this).
-            prefetch = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-prefetch"
-            )
-            pending = None
-            try:
-                pending = prefetch.submit(_sample_chunk, sampler, jobs[0])
-                for k, job in enumerate(jobs):
+        # DemSampler is read-only after construction and each chunk
+        # samples from its own generator, so one prefetch thread can
+        # sample chunk k+1 while the main thread decodes chunk k (the
+        # executor starts its thread on first submit, so a one-chunk run
+        # never starts it).  On early exit (max_failures tripped, or
+        # decode raised) the presampled chunk is discarded — shut down
+        # without waiting for it, or the caller would block on a full
+        # chunk sample nobody will read (tests/test_shotrunner.py pins
+        # this).
+        prefetch = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-prefetch"
+        )
+        pending = None
+        try:
+            batch = _sample_chunk(sampler, jobs[0])
+            for k, job in enumerate(jobs):
+                if k + 1 < len(jobs):
+                    pending = prefetch.submit(_sample_chunk, sampler, jobs[k + 1])
+                if _account(_decode_chunk(dec, job, batch, dense_reference)):
+                    break
+                if pending is not None:
                     batch = pending.result()
                     pending = None
-                    if k + 1 < len(jobs):
-                        pending = prefetch.submit(
-                            _sample_chunk, sampler, jobs[k + 1]
-                        )
-                    if _account(_decode_chunk(dec, job, batch, dense_reference)):
-                        break
-            finally:
-                if pending is not None:
-                    pending.cancel()
-                prefetch.shutdown(wait=False, cancel_futures=True)
-        else:
-            for job in jobs:
-                if _account(_run_chunk_with(sampler, dec, job, dense_reference)):
-                    break
+        finally:
+            if pending is not None:
+                pending.cancel()
+            prefetch.shutdown(wait=False, cancel_futures=True)
     else:
         workers = min(workers, len(jobs), os.cpu_count() or 1)
         pool = process_pool(
@@ -626,7 +554,7 @@ def run_stratified_chunks(
     return tallies
 
 
-def estimate_logical_error_rate_chunked(
+def estimate_logical_error_rate(
     code,
     schedule,
     p: float,
@@ -638,29 +566,24 @@ def estimate_logical_error_rate_chunked(
     rng: np.random.Generator | None = None,
     noise=None,
     config: ExecutionConfig | None = None,
-    **legacy,
 ) -> LogicalErrorRate:
-    """Chunk-runner-backed Monte-Carlo logical error rate.
+    """Monte-Carlo logical error rate of one SM circuit at error rate p.
 
-    The engine behind
-    :func:`repro.decoders.metrics.estimate_logical_error_rate`; call
-    this directly to pass an :class:`ExecutionConfig` (worker fan-out,
-    chunk size, early-stop cap, ... — the old ``workers``/
-    ``chunk_size``/``max_failures`` keywords still work with a one-time
-    deprecation warning).  ``noise`` is a
-    :class:`~repro.noise.spec.NoiseSpec`, a noise token, an inline
-    payload, or ``None`` (uniform depolarizing at ``p`` plus
-    ``idle_strength``) — resolved through
-    :func:`repro.noise.spec.resolve_noise`.
+    The LER entry point: one DEM per memory basis, each run through
+    :func:`run_shot_chunks` with ``config`` (worker fan-out, chunk size,
+    ``max_failures`` early-stop cap, ...), combined the paper's way
+    (§6.1: a failure in either basis).  :func:`repro.api.evaluate` is
+    the facade over it that resolves code and schedule names.
+    ``noise`` is a :class:`~repro.noise.spec.NoiseSpec`, a noise token
+    like ``"biased:10,pm=0.003"``, an inline ``noise-spec-v1`` payload,
+    or ``None`` (uniform depolarizing at ``p`` plus ``idle_strength``)
+    — resolved through :func:`repro.noise.spec.resolve_noise`.
     """
-    cfg = resolve_execution(
-        "estimate_logical_error_rate_chunked", config, legacy
-    )
     # A sampler/decoder instance is bound to one (DEM, basis); this
     # entry point builds a fresh DEM per basis, so injection cannot
     # carry across — strip it rather than decode the x basis with a
     # z-basis decoder.
-    cfg = cfg.replace(sampler=None, dec=None)
+    cfg = (config or ExecutionConfig()).replace(sampler=None, dec=None)
     rng = rng or np.random.default_rng()
     noise = resolve_noise(noise, p, idle_strength)
     per_basis: dict[str, MemoryResult] = {}

@@ -97,7 +97,7 @@ def noise_dials_from_prophunt(
     the concrete realization of Hook-ZNE's noise knob.  ``result`` is a
     :class:`repro.core.PropHuntResult`.
     """
-    from ..decoders import estimate_logical_error_rate
+    from ..experiments.shotrunner import estimate_logical_error_rate
 
     rng = rng or np.random.default_rng()
     dials = []

@@ -2,20 +2,21 @@
 
 The facade exists so internals can churn without breaking user code;
 that only holds if its surface is *tested*.  These tests pin the
-``__all__`` list, the call signatures of every facade function, and the
-legacy-keyword shim of :class:`ExecutionConfig` — renaming a parameter
-or dropping a name fails here before it fails downstream.
+``__all__`` list, the call signatures of every facade function, the
+fields of :class:`ExecutionConfig`, and the engine entry points it is
+the only way to configure — renaming a parameter, dropping a name, or
+growing a second way to pass a knob fails here before it fails
+downstream.
 """
 
 import inspect
-import warnings
 
-import numpy as np
 import pytest
 
 import repro.api as api
-from repro.experiments import shotrunner
-from repro.experiments.shotrunner import ExecutionConfig, resolve_execution
+import repro.decoders
+from repro.experiments import campaign, shotrunner
+from repro.experiments.shotrunner import ExecutionConfig
 
 
 def params(fn):
@@ -109,7 +110,6 @@ class TestSurface:
             "workers",
             "chunk_shots",
             "max_failures",
-            "streaming",
             "dense_reference",
             "sampler",
             "dec",
@@ -157,57 +157,73 @@ class TestSessionBehavior:
         assert list(ler.per_basis) == ["z"]
 
 
-class TestLegacyKeywordShim:
-    def setup_method(self):
-        shotrunner._legacy_warned.clear()
+class TestOneWayToPassKnobs:
+    """Execution knobs ride ``config=`` only: the engine entry points take
+    no catch-all keywords, and the LER has one home."""
 
-    def test_legacy_keywords_warn_once_per_entry_point(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            resolve_execution("ep_a", None, {"workers": 2})
-            resolve_execution("ep_a", None, {"workers": 3})
-            resolve_execution("ep_b", None, {"workers": 2})
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
+    def _assert_no_var_keyword(self, fn):
+        kinds = [p.kind for p in inspect.signature(fn).parameters.values()]
+        assert inspect.Parameter.VAR_KEYWORD not in kinds
+
+    def test_run_shot_chunks_signature(self):
+        fn = shotrunner.run_shot_chunks
+        self._assert_no_var_keyword(fn)
+        assert params(fn) == [
+            "dem",
+            "shots",
+            "basis",
+            "decoder",
+            "rng",
+            "config",
+            "on_chunk",
         ]
-        assert len(deprecations) == 2  # once per entry point, not per call
 
-    def test_legacy_keywords_map_onto_config(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = resolve_execution(
-                "ep_map",
-                None,
-                {"workers": 4, "chunk_size": 100, "max_failures": 7},
-            )
-        assert (cfg.workers, cfg.chunk_shots, cfg.max_failures) == (4, 100, 7)
+    def test_estimate_logical_error_rate_signature(self):
+        fn = shotrunner.estimate_logical_error_rate
+        self._assert_no_var_keyword(fn)
+        assert params(fn) == [
+            "code",
+            "schedule",
+            "p",
+            "shots",
+            "rounds",
+            "bases",
+            "decoder",
+            "idle_strength",
+            "rng",
+            "noise",
+            "config",
+        ]
 
-    def test_unknown_keyword_is_a_type_error(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            resolve_execution("ep_bad", None, {"wrokers": 2})
+    def test_execute_job_signature(self):
+        fn = campaign.execute_job
+        self._assert_no_var_keyword(fn)
+        assert params(fn) == ["job", "cache", "config"]
 
-    def test_config_and_legacy_keywords_are_equivalent(self, tmp_path):
+    def test_run_campaign_signature(self):
+        fn = campaign.run_campaign
+        self._assert_no_var_keyword(fn)
+        assert params(fn) == [
+            "spec",
+            "store",
+            "cache",
+            "progress",
+            "labels",
+            "config",
+            "meta",
+        ]
+
+    def test_old_keywords_are_type_errors(self):
         dem = _smoke_dem()
-        rng_a = np.random.default_rng(7)
-        rng_b = np.random.default_rng(7)
-        new = shotrunner.run_shot_chunks(
-            dem,
-            shots=256,
-            rng=rng_a,
-            config=ExecutionConfig(chunk_shots=64, max_failures=None),
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            old = shotrunner.run_shot_chunks(
-                dem, shots=256, rng=rng_b, chunk_size=64
-            )
-        assert new.to_dict() == old.to_dict()
+        with pytest.raises(TypeError):
+            shotrunner.run_shot_chunks(dem, shots=64, chunk_size=64)
+        with pytest.raises(TypeError):
+            campaign.run_campaign([], workers=2)
 
-    def test_explicit_config_wins_over_defaults(self):
-        cfg = resolve_execution(
-            "ep_cfg", ExecutionConfig(workers=5), {}
-        )
-        assert cfg.workers == 5
+    def test_decoders_do_not_export_the_ler(self):
+        assert "estimate_logical_error_rate" not in repro.decoders.__all__
+        assert not hasattr(repro.decoders, "estimate_logical_error_rate")
+        assert not hasattr(repro.decoders.metrics, "estimate_logical_error_rate")
 
 
 def _smoke_dem():

@@ -36,6 +36,7 @@ from repro.experiments.campaign import (
     run_campaign,
     smoke_spec,
 )
+from repro.experiments.shotrunner import ExecutionConfig
 from repro.experiments.store import ResultStore, canonical_json, job_key
 
 # -- strategies -------------------------------------------------------------
@@ -268,27 +269,32 @@ class TestResumeDeterminism:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_resume_is_byte_identical(self, tmp_path, workers):
         jobs = _small_jobs()
+        cfg = ExecutionConfig(workers=workers)
 
-        full = run_campaign(jobs, store=tmp_path / "full", workers=workers)
+        full = run_campaign(jobs, store=tmp_path / "full", config=cfg)
         assert len(full.executed) == len(jobs)
 
         interrupted_dir = tmp_path / "interrupted"
-        run_campaign(jobs, store=interrupted_dir, workers=workers)
+        run_campaign(jobs, store=interrupted_dir, config=cfg)
         # Simulate the interruption: lose the last third of the store.
         path = interrupted_dir / "results.jsonl"
         lines = path.read_text().splitlines(keepends=True)
         keep = len(lines) - max(1, len(lines) // 3)
         path.write_text("".join(lines[:keep]))
 
-        resumed = run_campaign(jobs, store=interrupted_dir, workers=workers)
+        resumed = run_campaign(jobs, store=interrupted_dir, config=cfg)
         assert len(resumed.executed) == len(lines) - keep
         assert resumed.hits == keep
         assert _estimates(resumed) == _estimates(full)
 
     def test_workers_do_not_change_results(self, tmp_path):
         jobs = _small_jobs()
-        serial = run_campaign(jobs, store=tmp_path / "w1", workers=1)
-        parallel = run_campaign(jobs, store=tmp_path / "w2", workers=2)
+        serial = run_campaign(
+            jobs, store=tmp_path / "w1", config=ExecutionConfig(workers=1)
+        )
+        parallel = run_campaign(
+            jobs, store=tmp_path / "w2", config=ExecutionConfig(workers=2)
+        )
         assert _estimates(serial) == _estimates(parallel)
 
     def test_job_order_does_not_change_results(self, tmp_path):

@@ -10,10 +10,10 @@ from repro.decoders import (
     LookupDecoder,
     MatchingDecoder,
     detector_subset_for_basis,
-    estimate_logical_error_rate,
     make_decoder,
 )
 from repro.decoders.metrics import dem_for
+from repro.experiments.shotrunner import ExecutionConfig, estimate_logical_error_rate
 from repro.noise import NoiseModel
 from repro.sim import DemSampler, extract_dem
 
@@ -180,9 +180,8 @@ class TestPipeline:
             nz_schedule(code),
             p=2e-2,
             shots=50_000,
-            max_failures=20,
             rng=np.random.default_rng(0),
-            batch_size=500,
+            config=ExecutionConfig(chunk_shots=500, max_failures=20),
         )
         assert r.shots < 50_000
 

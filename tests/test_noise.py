@@ -82,7 +82,7 @@ class TestIdleNoise:
 
     def test_idle_noise_increases_logical_error(self):
         """More idling must hurt — the premise of Figure 15."""
-        from repro.decoders import estimate_logical_error_rate
+        from repro.experiments.shotrunner import estimate_logical_error_rate
 
         code = rotated_surface_code(3)
         sched = nz_schedule(code)

@@ -101,7 +101,7 @@ class TestSection4Claims:
         """§4: LER ~ O(p^ceil(deff/2)): halving d_eff (3->2) costs roughly
         a power of p at low p; just check the ordering is strict and large."""
         from repro.circuits import poor_schedule
-        from repro.decoders import estimate_logical_error_rate
+        from repro.experiments.shotrunner import estimate_logical_error_rate
 
         code = rotated_surface_code(3)
         rng = np.random.default_rng(0)

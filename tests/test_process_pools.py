@@ -34,7 +34,9 @@ from repro.codes import rotated_surface_code
 from repro.core import DecodingGraph
 from repro.core.parallel import sample_and_solve
 from repro.decoders.metrics import dem_for
-from repro.experiments.shotrunner import run_shot_chunks, run_stratified_chunks
+from repro.experiments.shotrunner import (
+    ExecutionConfig, run_shot_chunks, run_stratified_chunks,
+)
 from repro.gf2 import kernels
 from repro.noise import NoiseModel
 
@@ -46,8 +48,8 @@ words = np.random.default_rng(0).integers(0, 2**63, size=(4096, 64), dtype=np.ui
 
 def runs(workers):
     shots = run_shot_chunks(
-        dem, shots=2048, rng=np.random.default_rng(1), chunk_size=512,
-        workers=workers,
+        dem, shots=2048, rng=np.random.default_rng(1),
+        config=ExecutionConfig(chunk_shots=512, workers=workers),
     )
     strata = run_stratified_chunks(
         dem, [(2, 512), (3, 512)], rng=np.random.default_rng(2),

@@ -21,6 +21,7 @@ from repro.experiments.service import (
     lease_dir,
     lease_expired,
     plan_groups,
+    queue_path,
     read_lease,
     read_queue,
     release_lease,
@@ -29,6 +30,7 @@ from repro.experiments.service import (
     worker_loop,
     write_queue,
 )
+from repro.experiments.shotrunner import ExecutionConfig
 from repro.experiments.store import ResultStore, job_key
 
 # A tiny two-affinity-group campaign (4 jobs: 2 bases x 2 estimators)
@@ -324,6 +326,17 @@ class TestFleetDeterminism:
     def test_serve_timeout_raises(self, tmp_path):
         with pytest.raises(TimeoutError):
             serve_campaign(SPEC, tmp_path / "s", n_workers=0, timeout=0.2, poll=0.05)
+
+    def test_inprocess_fleet_refuses_shot_pools(self, tmp_path):
+        """Worker threads plus forked shot-runner pools would fork while
+        other threads hold locks: refused before the queue is written."""
+        store = tmp_path / "s"
+        with pytest.raises(ValueError, match="n_workers=0"):
+            serve_campaign(
+                SPEC, store, n_workers=2, config=ExecutionConfig(workers=2)
+            )
+        assert not os.path.exists(queue_path(store))
+        assert not store.exists()
 
     def test_crash_recovery_via_expired_lease(self, tmp_path):
         """A dangling lease from a dead worker is taken over after TTL."""

@@ -19,10 +19,10 @@ from repro.circuits import nz_schedule
 from repro.codes import rotated_surface_code
 from repro.core import DecodingGraph
 from repro.core.parallel import sample_and_solve
-from repro.decoders.metrics import dem_for, estimate_logical_error_rate, make_decoder
+from repro.decoders.metrics import dem_for, make_decoder
 from repro.experiments.shotrunner import (
     ExecutionConfig,
-    estimate_logical_error_rate_chunked,
+    estimate_logical_error_rate,
     plan_chunks,
     run_shot_chunks,
     spawn_chunk_seeds,
@@ -133,7 +133,10 @@ class TestSeedSpawningFallback:
     def test_runner_reproducible_with_fallback_rng(self, d3_dem):
         runs = [
             run_shot_chunks(
-                d3_dem, shots=640, rng=self._rng(7), chunk_size=256
+                d3_dem,
+                shots=640,
+                rng=self._rng(7),
+                config=ExecutionConfig(chunk_shots=256),
             )
             for _ in range(2)
         ]
@@ -156,8 +159,7 @@ class TestTailWordBoundaries:
                 noisy_dem,
                 shots=shots,
                 rng=np.random.default_rng(31),
-                chunk_size=64,
-                dense_reference=dense,
+                config=ExecutionConfig(chunk_shots=64, dense_reference=dense),
             )
             counts[dense] = (est.failures, est.shots)
         assert counts[False] == counts[True]
@@ -167,27 +169,58 @@ class TestTailWordBoundaries:
         # With garbage tail bits, 63 shots could report up to 64
         # failures; the count must respect the true shot count.
         est = run_shot_chunks(
-            noisy_dem, shots=63, rng=np.random.default_rng(2), chunk_size=64
+            noisy_dem,
+            shots=63,
+            rng=np.random.default_rng(2),
+            config=ExecutionConfig(chunk_shots=64),
         )
         assert 0 <= est.failures <= 63
 
 
+def _sequential_reference(dem, shots, seed, chunk_shots, max_failures=None):
+    """The plain chunk loop the prefetch overlap must reproduce: sample
+    chunk k from its own spawned seed, decode it, stop at the cap."""
+    sampler = DemSampler(dem)
+    dec = make_decoder(dem, "z")
+    sizes = plan_chunks(shots, chunk_shots)
+    seeds = spawn_chunk_seeds(np.random.default_rng(seed), len(sizes))
+    failures = done = 0
+    for size, chunk_seed in zip(sizes, seeds):
+        batch = sampler.sample_packed(size, np.random.default_rng(chunk_seed))
+        failures += dec.count_failures_packed(batch)
+        done += size
+        if max_failures is not None and failures >= max_failures:
+            break
+    return failures, done
+
+
+class _ThreadSpyDecoder:
+    """Records the threads started since ``before`` at each decode."""
+
+    def __init__(self, before):
+        self.before = before
+        self.new_threads = []
+
+    def count_failures_packed(self, batch: BitSampleBatch) -> int:
+        self.new_threads += [t for t in threading.enumerate() if t not in self.before]
+        return 0
+
+
 class TestStreaming:
-    """The prefetch overlap must be invisible: bit-identical results,
-    in-order chunk streaming, and the same early-stop point."""
+    """The prefetch overlap must be invisible: bit-identical results to
+    the sequential chunk loop, in-order chunk streaming, and the same
+    early-stop point."""
 
     def test_streaming_matches_sequential(self, d3_dem):
-        results = {}
-        for streaming in (False, True):
-            est = run_shot_chunks(
-                d3_dem,
-                shots=2000,
-                rng=np.random.default_rng(123),
-                chunk_size=256,
-                streaming=streaming,
-            )
-            results[streaming] = (est.failures, est.shots)
-        assert results[False] == results[True]
+        est = run_shot_chunks(
+            d3_dem,
+            shots=2000,
+            rng=np.random.default_rng(123),
+            config=ExecutionConfig(chunk_shots=256),
+        )
+        assert (est.failures, est.shots) == _sequential_reference(
+            d3_dem, 2000, 123, 256
+        )
 
     def test_streaming_chunks_in_order(self, d3_dem):
         seen = []
@@ -195,27 +228,31 @@ class TestStreaming:
             d3_dem,
             shots=1500,
             rng=np.random.default_rng(5),
-            chunk_size=256,
-            streaming=True,
+            config=ExecutionConfig(chunk_shots=256),
             on_chunk=seen.append,
         )
         assert [c.index for c in seen] == list(range(len(seen)))
         assert sum(c.shots for c in seen) == est.shots == 1500
 
     def test_streaming_early_stop_identical(self, noisy_dem):
-        results = {}
-        for streaming in (False, True):
-            est = run_shot_chunks(
-                noisy_dem,
-                shots=20_000,
-                rng=np.random.default_rng(7),
-                chunk_size=256,
-                max_failures=10,
-                streaming=streaming,
-            )
-            results[streaming] = (est.failures, est.shots)
-        assert results[False] == results[True]
-        assert results[True][1] < 20_000
+        est = run_shot_chunks(
+            noisy_dem,
+            shots=20_000,
+            rng=np.random.default_rng(7),
+            config=ExecutionConfig(chunk_shots=256, max_failures=10),
+        )
+        reference = _sequential_reference(noisy_dem, 20_000, 7, 256, max_failures=10)
+        assert (est.failures, est.shots) == reference
+        assert est.shots < 20_000
+
+    @pytest.mark.parametrize("shots, prefetches", [(250, False), (640, True)])
+    def test_prefetch_thread_only_for_several_chunks(self, d3_dem, shots, prefetches):
+        spy = _ThreadSpyDecoder(set(threading.enumerate()))
+        run_shot_chunks(
+            d3_dem, shots=shots, config=ExecutionConfig(chunk_shots=256, dec=spy)
+        )
+        names = {t.name for t in spy.new_threads}
+        assert any(n.startswith("repro-prefetch") for n in names) == prefetches
 
 
 class _GatedSampler:
@@ -260,7 +297,6 @@ class TestPrefetchShutdown:
         gate = threading.Event()
         sampler = _GatedSampler(gate)
         cfg = ExecutionConfig(
-            streaming=True,
             chunk_shots=64,
             max_failures=1,
             sampler=sampler,
@@ -281,7 +317,6 @@ class TestPrefetchShutdown:
         gate = threading.Event()
         sampler = _GatedSampler(gate)
         cfg = ExecutionConfig(
-            streaming=True,
             chunk_shots=64,
             sampler=sampler,
             dec=_RaisingDecoder(),
@@ -304,8 +339,7 @@ class TestRunnerDeterminism:
                 d3_dem,
                 shots=4000,
                 rng=np.random.default_rng(123),
-                chunk_size=640,
-                workers=workers,
+                config=ExecutionConfig(chunk_shots=640, workers=workers),
             )
             results[workers] = (est.failures, est.shots)
         assert results[1] == results[4]
@@ -317,8 +351,7 @@ class TestRunnerDeterminism:
             d3_dem,
             shots=2000,
             rng=np.random.default_rng(5),
-            chunk_size=512,
-            workers=2,
+            config=ExecutionConfig(chunk_shots=512, workers=2),
             on_chunk=seen.append,
         )
         assert [c.index for c in seen] == list(range(len(seen)))
@@ -332,9 +365,9 @@ class TestRunnerDeterminism:
                 noisy_dem,
                 shots=20_000,
                 rng=np.random.default_rng(7),
-                chunk_size=256,
-                workers=workers,
-                max_failures=10,
+                config=ExecutionConfig(
+                    chunk_shots=256, workers=workers, max_failures=10
+                ),
             )
             results[workers] = (est.failures, est.shots)
         assert results[1] == results[3]
@@ -344,14 +377,13 @@ class TestRunnerDeterminism:
     def test_full_pipeline_workers_match(self, d3_code):
         rates = {}
         for workers in (1, 2):
-            ler = estimate_logical_error_rate_chunked(
+            ler = estimate_logical_error_rate(
                 d3_code,
                 nz_schedule(d3_code),
                 p=2e-3,
                 shots=2000,
-                chunk_size=512,
                 rng=np.random.default_rng(0),
-                workers=workers,
+                config=ExecutionConfig(chunk_shots=512, workers=workers),
             )
             rates[workers] = (
                 ler.rate,
@@ -369,8 +401,7 @@ class TestRunnerDeterminism:
                 d3_dem,
                 shots=3000,
                 rng=np.random.default_rng(17),
-                chunk_size=640,
-                dense_reference=dense,
+                config=ExecutionConfig(chunk_shots=640, dense_reference=dense),
             )
             runs[dense] = (est.failures, est.shots)
         assert runs[False] == runs[True]
@@ -380,16 +411,15 @@ class TestRunnerDeterminism:
             d3_dem,
             shots=2000,
             rng=np.random.default_rng(23),
-            chunk_size=512,
-            workers=2,
+            config=ExecutionConfig(chunk_shots=512, workers=2),
         )
         est_dense = run_shot_chunks(
             d3_dem,
             shots=2000,
             rng=np.random.default_rng(23),
-            chunk_size=512,
-            workers=2,
-            dense_reference=True,
+            config=ExecutionConfig(
+                chunk_shots=512, workers=2, dense_reference=True
+            ),
         )
         assert (est_packed.failures, est_packed.shots) == (
             est_dense.failures,
@@ -400,38 +430,22 @@ class TestRunnerDeterminism:
         """A campaign compile cache injecting sampler/decoder is pure
         reuse — bit-identical to the build-per-call path."""
         fresh = run_shot_chunks(
-            d3_dem, shots=1000, rng=np.random.default_rng(9), chunk_size=256
+            d3_dem,
+            shots=1000,
+            rng=np.random.default_rng(9),
+            config=ExecutionConfig(chunk_shots=256),
         )
         injected = run_shot_chunks(
             d3_dem,
             shots=1000,
             rng=np.random.default_rng(9),
-            chunk_size=256,
-            sampler=DemSampler(d3_dem),
-            dec=make_decoder(d3_dem, "z", "auto"),
+            config=ExecutionConfig(
+                chunk_shots=256,
+                sampler=DemSampler(d3_dem),
+                dec=make_decoder(d3_dem, "z", "auto"),
+            ),
         )
         assert (fresh.failures, fresh.shots) == (injected.failures, injected.shots)
-
-    def test_metrics_wrapper_delegates(self, d3_code):
-        """The decoders.metrics entry point is the same engine."""
-        via_metrics = estimate_logical_error_rate(
-            d3_code,
-            nz_schedule(d3_code),
-            p=2e-3,
-            shots=1500,
-            rng=np.random.default_rng(3),
-            batch_size=500,
-        )
-        via_runner = estimate_logical_error_rate_chunked(
-            d3_code,
-            nz_schedule(d3_code),
-            p=2e-3,
-            shots=1500,
-            rng=np.random.default_rng(3),
-            chunk_size=500,
-        )
-        assert via_metrics.rate == via_runner.rate
-        assert via_metrics.shots == via_runner.shots
 
 
 class TestEarlyStopAccounting:
@@ -451,9 +465,7 @@ class TestEarlyStopAccounting:
             noisy_dem,
             shots=planned,
             rng=np.random.default_rng(7),
-            chunk_size=256,
-            workers=workers,
-            max_failures=10,
+            config=ExecutionConfig(chunk_shots=256, workers=workers, max_failures=10),
             on_chunk=seen.append,
         )
         assert est.shots == sum(c.shots for c in seen)
@@ -468,8 +480,7 @@ class TestEarlyStopAccounting:
             d3_dem,
             shots=1280,
             rng=np.random.default_rng(1),
-            chunk_size=256,
-            max_failures=10_000,
+            config=ExecutionConfig(chunk_shots=256, max_failures=10_000),
         )
         assert est.shots == 1280
 
