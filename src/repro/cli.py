@@ -163,7 +163,7 @@ def _evaluate_rare_event(
             min_failure_weight=args.min_failure_weight,
             target_rel_halfwidth=args.target_rel_ci,
             max_shots=args.shots,
-            workers=args.workers,
+            config=ExecutionConfig(workers=args.workers),
         )
         lo, hi = est.interval
         print(
@@ -209,7 +209,6 @@ def _load_campaign_spec(args):
 def cmd_campaign_run(args) -> int:
     from .experiments.campaign import run_campaign
     from .experiments.store import ResultStore
-    from .gf2 import kernels
 
     spec = _load_campaign_spec(args)
     store = ResultStore(args.store)
@@ -219,14 +218,7 @@ def cmd_campaign_run(args) -> int:
         f"campaign {spec.name!r}: {len(report.jobs)} jobs, "
         f"{report.hits} store hits, {len(report.executed)} executed"
     )
-    print(f"kernel backend: {kernels.backend_name()}")
-    if report.syndrome_stats is not None:
-        s = report.syndrome_stats
-        print(
-            f"syndrome cache: {s['hits']} hits, {s['misses']} misses, "
-            f"{s['entries']} entries across {s['files']} files "
-            f"({s['loaded']} preloaded)"
-        )
+    _print_syndrome_cache_status(store.path)
     if args.smoke:
         # The CI resume check: a second invocation of a completed
         # campaign must be pure store hits — zero sampling or decoding.

@@ -364,11 +364,8 @@ class CompileCache:
     same circuit under the same noise share one DEM, and any two jobs
     decoding that DEM the same way share one decoder instance — the
     expensive setup runs once per (circuit, decoder) per campaign, not
-    once per job.  DEM extraction is cached for every path; the cached
-    sampler/decoder instances are reused on the inline (``workers <= 1``)
-    execution path — with ``workers > 1`` each job's pool workers
-    compile their own copies (per-process state cannot be shared), the
-    same per-call cost the shot runner always had.
+    once per job.  Process-pool workers run these same instances; none
+    compiles its own.
     """
 
     def __init__(self):
@@ -441,7 +438,8 @@ class CompileCache:
 
         Memoized alongside the decoder, so every job in the grid hitting
         the same (DEM, decoder) shares one open cache — loaded once per
-        campaign, and its hit/miss stats aggregate across jobs.
+        campaign (hits and misses count in the ``syncache.*``
+        instruments).
         ``writer_tag`` routes this process's appends to a private shard
         file (service workers pass their worker id) so a fleet sharing
         one cache directory never interleaves writes.
@@ -452,15 +450,6 @@ class CompileCache:
                 self.decoder(job), directory, writer_tag=writer_tag
             )
         return self._syncaches[key]
-
-    def syndrome_cache_stats(self) -> dict[str, int]:
-        """Hit/miss/entry totals over every cache this campaign opened."""
-        agg = {"hits": 0, "misses": 0, "entries": 0, "loaded": 0, "files": 0}
-        for cache in self._syncaches.values():
-            agg["files"] += 1
-            for k in ("hits", "misses", "entries", "loaded"):
-                agg[k] += cache.stats[k]
-        return agg
 
 
 # -- execution --------------------------------------------------------------
@@ -500,8 +489,8 @@ def execute_job(
     cfg = cfg.replace(
         chunk_shots=job.chunk_size,
         max_failures=job.max_failures,
-        sampler=cache.sampler(job) if cfg.workers <= 1 else None,
-        dec=cache.decoder(job) if cfg.workers <= 1 else None,
+        sampler=cache.sampler(job),
+        dec=cache.decoder(job),
     )
     with obs.span(
         "job", key=job.key()[:16], estimator=job.estimator, code=job.code
@@ -514,9 +503,9 @@ def _execute_job_inner(
 ) -> dict[str, Any]:
     dem = cache.dem(job)
     rng = np.random.default_rng(job.seed_sequence())
-    if cfg.syndrome_cache_dir is not None and cfg.workers <= 1:
-        # Attach the campaign-shared cache to the memoized decoder (pool
-        # workers attach their own through the runner's initializer).
+    if cfg.syndrome_cache_dir is not None:
+        # Attach the campaign-shared cache to the memoized decoder; pool
+        # workers share this handle.
         cache.decoder(job).attach_syndrome_cache(
             cache.syndrome_cache(
                 job, cfg.syndrome_cache_dir, writer_tag=cfg.syndrome_writer_tag
@@ -553,10 +542,8 @@ def _execute_job_inner(
         initial_shots=job.initial_shots,
         max_shots=job.shots,
         max_rounds=job.max_rounds,
-        chunk_size=job.chunk_size,
-        workers=cfg.workers,
         mode=job.mode,
-        dec=cache.decoder(job) if cfg.workers <= 1 else None,
+        config=cfg,
     )
     return {
         "estimator": "rare-event",
@@ -577,11 +564,6 @@ class CampaignReport:
     hits: int = 0
     executed: list[str] = field(default_factory=list)
     records: dict[str, dict[str, Any]] = field(default_factory=dict)
-    # Aggregated persistent-syndrome-cache counters for the jobs this
-    # invocation executed (None when the cache was disabled).  Reported
-    # by `campaign run`/`status`, never stored in result records — cache
-    # warmth varies run to run, stored records must not.
-    syndrome_stats: dict[str, int] | None = None
 
     def record(self, job: CampaignJob) -> dict[str, Any]:
         return self.records[job.key()]
@@ -689,8 +671,6 @@ def run_campaign(
         report.executed.append(key)
         _JOBS_EXECUTED.add()
         report.records[key] = store.get(key)
-    if cfg.syndrome_cache_dir is not None:
-        report.syndrome_stats = cache.syndrome_cache_stats()
     if report.executed:
         # Leave final counter/histogram state in the sidecars so a
         # finished run answers `campaign status --telemetry` offline.

@@ -16,10 +16,10 @@ network protocol — the store directory *is* the coordination medium:
 ``<store>/service/leases/<affinity>.lease``
     One lease per *affinity group* — the batch of jobs sharing a
     compile configuration (code, schedule, noise, rate, basis, decoder).
-    Claiming is an ``O_CREAT | O_EXCL`` create (atomic on POSIX);
-    the payload carries the owner and an expiry timestamp.  A crashed
-    worker's lease simply expires and another worker takes the group
-    over.
+    Claiming hard-links a fully written temp file into place (atomic
+    on POSIX, and it fails if the lease exists); the payload carries
+    the owner and an expiry timestamp.  A crashed worker's lease
+    simply expires and another worker takes the group over.
 
 Correctness under every race reduces to the store's two invariants:
 jobs are content-addressed (double execution writes identical content)
@@ -253,7 +253,10 @@ def claim_lease(
 ) -> bool:
     """Try to claim (or take over an expired) lease; True if we own it.
 
-    The fresh-claim path is atomic (``O_CREAT | O_EXCL``).  The
+    The fresh-claim path is atomic: the lease is written to a private
+    temp file and published with ``os.link``, which fails if the lease
+    exists, so no reader ever sees a claim without its content (an
+    empty file would read as torn, hence takeover-eligible).  The
     takeover path — rewriting an *expired* lease via temp file +
     rename — can race another taker; both then believe they own the
     group, which the execution layer tolerates by design (idempotent,
@@ -262,27 +265,24 @@ def claim_lease(
     skew cannot trigger a premature takeover of a live lease.
     """
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    body = (canonical_json(_lease_payload(worker_id, ttl)) + "\n").encode()
+    tmp = f"{path}.{worker_id}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write((canonical_json(_lease_payload(worker_id, ttl)) + "\n").encode())
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+        os.link(tmp, path)
     except FileExistsError:
         lease = read_lease(path)
-        if lease is None or not lease_expired(lease, skew_grace_s=skew_grace_s):
-            return False
-        tmp = f"{path}.{worker_id}.tmp"
         try:
-            with open(tmp, "wb") as fh:
-                fh.write(body)
+            if lease is None or not lease_expired(lease, skew_grace_s=skew_grace_s):
+                os.remove(tmp)
+                return False
             os.replace(tmp, path)
         except OSError:
             return False
         _LEASE_CLAIMS.add()
         _LEASE_TAKEOVERS.add()
         return True
-    try:
-        os.write(fd, body)
-    finally:
-        os.close(fd)
+    os.remove(tmp)
     _LEASE_CLAIMS.add()
     return True
 

@@ -3,11 +3,15 @@
 Every figure's dominant cost is the same loop: sample a batch of shots
 from a compiled DEM, decode, count logical failures.  This module owns
 that loop.  Shots are sharded into fixed-size chunks (rounded up to a
-multiple of 64 so packed batches stay word-aligned), every chunk gets
-its own RNG substream spawned from one :class:`numpy.random.SeedSequence`
-root, and chunks run either inline or fanned out over processes
-(:func:`repro.core.parallel.process_pool`, like the paper's 48-core runs
-in §6.1).
+multiple of 64 so packed batches stay word-aligned) and every chunk
+gets its own RNG substream spawned from one
+:class:`numpy.random.SeedSequence` root.
+
+The sampler and decoder are compiled once, in the calling process (or
+taken ready-made from the :class:`ExecutionConfig`), and the persistent
+syndrome cache is attached to that decoder there.  Chunks then run
+inline or on a :class:`repro.core.parallel.FanOut` process pool (like
+the paper's 48-core runs in §6.1) whose workers only run that state.
 
 Chunk results stream back in chunk order regardless of worker count and
 are accumulated in that order, so the outcome — including ``max_failures``
@@ -21,16 +25,16 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, closing
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .. import obs
 from ..analysis.stats import RateEstimate
-from ..core.parallel import process_pool
+from ..core.parallel import FanOut
 from ..decoders.base import Decoder
 from ..decoders.metrics import LogicalErrorRate, MemoryResult, dem_for, make_decoder
 from ..decoders.syncache import SyndromeCache
@@ -63,7 +67,9 @@ class ExecutionConfig:
     """How a shot loop executes — everything that is *not* the physics.
 
     The one way to pass execution knobs to :func:`run_shot_chunks`,
-    :func:`estimate_logical_error_rate` and
+    :func:`estimate_logical_error_rate`, the stratified
+    :func:`run_stratified_chunks` and
+    :func:`repro.rareevent.estimate_ler_stratified`, and
     :func:`repro.experiments.campaign.execute_job` (and, through them,
     to every campaign and facade entry point).
 
@@ -144,34 +150,6 @@ def spawn_chunk_seeds(
     return seed_seq.spawn(n)
 
 
-# Module-level state for process-pool workers (set by the initializer in
-# each worker process; the inline workers=1 path uses locals instead so
-# the runner stays re-entrant).
-_WORKER_SAMPLER: DemSampler | None = None
-_WORKER_DECODER: Decoder | None = None
-_WORKER_DENSE: bool = False
-
-
-def _init_worker(
-    dem: DetectorErrorModel,
-    basis: str,
-    decoder: str,
-    dense_reference: bool,
-    syndrome_cache_dir: str | None = None,
-) -> None:
-    global _WORKER_SAMPLER, _WORKER_DECODER, _WORKER_DENSE
-    _WORKER_SAMPLER = DemSampler(dem)
-    _WORKER_DECODER = make_decoder(dem, basis, decoder)
-    _WORKER_DENSE = dense_reference
-    if syndrome_cache_dir is not None:
-        # Each worker opens its own handle on the shared cache file;
-        # concurrent appends are tolerated by the format (partial-line
-        # skipping + deterministic duplicate values).
-        _WORKER_DECODER.attach_syndrome_cache(
-            SyndromeCache.for_decoder(_WORKER_DECODER, syndrome_cache_dir)
-        )
-
-
 def _sample_chunk(
     sampler: DemSampler, job: tuple[int, int, np.random.SeedSequence]
 ) -> BitSampleBatch:
@@ -204,11 +182,63 @@ def _decode_chunk(
     return ChunkResult(index=index, shots=chunk_shots, failures=failures)
 
 
-def _run_chunk(job: tuple[int, int, np.random.SeedSequence]) -> ChunkResult:
-    if _WORKER_SAMPLER is None or _WORKER_DECODER is None:
-        raise RuntimeError("worker pool not initialized")
-    batch = _sample_chunk(_WORKER_SAMPLER, job)
-    return _decode_chunk(_WORKER_DECODER, job, batch, _WORKER_DENSE)
+def _run_chunk(
+    state: tuple[DemSampler, Decoder, bool],
+    job: tuple[int, int, np.random.SeedSequence],
+) -> ChunkResult:
+    sampler, dec, dense_reference = state
+    return _decode_chunk(dec, job, _sample_chunk(sampler, job), dense_reference)
+
+
+def _run_chunks_sampling_ahead(
+    state: tuple[DemSampler, Decoder, bool],
+    jobs: list[tuple[int, int, np.random.SeedSequence]],
+) -> Iterator[ChunkResult]:
+    """The inline chunk loop: sample chunk ``k+1`` while decoding ``k``.
+
+    DemSampler is read-only after construction and each chunk samples
+    from its own generator, so one prefetch thread can sample ahead of
+    the decoding thread bit-identically (the executor starts its thread
+    on first submit, so a one-chunk run never starts it).  When the
+    caller stops early (max_failures tripped, or decode raised) the
+    presampled chunk is discarded — shut down without waiting for it,
+    or the caller would block on a full chunk sample nobody will read
+    (tests/test_shotrunner.py pins this).
+    """
+    sampler, dec, dense_reference = state
+    prefetch = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-prefetch")
+    pending = None
+    try:
+        batch = _sample_chunk(sampler, jobs[0])
+        for k, job in enumerate(jobs):
+            if k + 1 < len(jobs):
+                pending = prefetch.submit(_sample_chunk, sampler, jobs[k + 1])
+            yield _decode_chunk(dec, job, batch, dense_reference)
+            if pending is not None:
+                batch = pending.result()
+                pending = None
+    finally:
+        if pending is not None:
+            pending.cancel()
+        prefetch.shutdown(wait=False, cancel_futures=True)
+
+
+def compiled_decoder(
+    dem: DetectorErrorModel, basis: str, decoder: str, cfg: ExecutionConfig
+) -> Decoder:
+    """``cfg.dec`` or a new decoder, with ``cfg``'s syndrome cache
+    attached unless it already has one; pool workers share the handle."""
+    dec = cfg.dec if cfg.dec is not None else make_decoder(dem, basis, decoder)
+    if (
+        cfg.syndrome_cache_dir is not None
+        and getattr(dec, "syndrome_cache", None) is None
+    ):
+        dec.attach_syndrome_cache(
+            SyndromeCache.for_decoder(
+                dec, cfg.syndrome_cache_dir, writer_tag=cfg.syndrome_writer_tag
+            )
+        )
+    return dec
 
 
 def run_shot_chunks(
@@ -235,9 +265,8 @@ def run_shot_chunks(
     budget, so its Wilson interval stays honest.
 
     ``config.sampler``/``config.dec`` let a caller with a compile cache
-    (the campaign engine) reuse a pre-built sampler and decoder on the
-    inline path; with ``workers > 1`` each pool worker builds its own
-    instead.
+    (the campaign engine) reuse a pre-built sampler and decoder; either
+    way they are built once here and pool workers receive them.
 
     On the inline path, sampling of chunk ``k+1`` (on a single prefetch
     thread) overlaps decoding of chunk ``k``; a one-chunk run starts no
@@ -247,10 +276,10 @@ def run_shot_chunks(
 
     ``config.syndrome_cache_dir`` attaches a persistent
     :class:`~repro.decoders.syncache.SyndromeCache` (content-addressed
-    by DEM fingerprint + decoder namespace) to the decoder — inline and
-    in every pool worker — so distinct syndromes decoded by any earlier
-    chunk, job, or run are served from disk.  A decoder injected with a
-    cache already attached keeps it.
+    by DEM fingerprint + decoder namespace) to the decoder, whose handle
+    every pool worker shares, so distinct syndromes decoded by any
+    earlier chunk, job, or run are served from disk.  A decoder injected
+    with a cache already attached keeps it.
 
     The hot path is fully packed: chunks are sampled packed and decoded
     through :meth:`~repro.decoders.base.Decoder.decode_batch_packed`
@@ -261,11 +290,6 @@ def run_shot_chunks(
     estimates by construction, kept for cross-checks and benchmarks.
     """
     cfg = config or ExecutionConfig()
-    workers = cfg.workers
-    max_failures = cfg.max_failures
-    dense_reference = cfg.dense_reference
-    sampler, dec = cfg.sampler, cfg.dec
-    syndrome_cache_dir = cfg.syndrome_cache_dir
     rng = rng or np.random.default_rng()
     sizes = plan_chunks(shots, cfg.chunk_shots)
     seeds = spawn_chunk_seeds(rng, len(sizes))
@@ -273,87 +297,20 @@ def run_shot_chunks(
     if not jobs:
         return RateEstimate(0, 0)
 
+    sampler = cfg.sampler if cfg.sampler is not None else DemSampler(dem)
+    state = (sampler, compiled_decoder(dem, basis, decoder, cfg), cfg.dense_reference)
     failures = 0
     done = 0
-
-    def _account(result: ChunkResult) -> bool:
-        nonlocal failures, done
-        failures += result.failures
-        done += result.shots
-        if on_chunk is not None:
-            on_chunk(result)
-        return max_failures is not None and failures >= max_failures
-
-    if workers <= 1:
-        if sampler is None:
-            sampler = DemSampler(dem)
-        if dec is None:
-            dec = make_decoder(dem, basis, decoder)
-        if (
-            syndrome_cache_dir is not None
-            and getattr(dec, "syndrome_cache", None) is None
-        ):
-            dec.attach_syndrome_cache(
-                SyndromeCache.for_decoder(
-                    dec, syndrome_cache_dir, writer_tag=cfg.syndrome_writer_tag
-                )
-            )
-        # DemSampler is read-only after construction and each chunk
-        # samples from its own generator, so one prefetch thread can
-        # sample chunk k+1 while the main thread decodes chunk k (the
-        # executor starts its thread on first submit, so a one-chunk run
-        # never starts it).  On early exit (max_failures tripped, or
-        # decode raised) the presampled chunk is discarded — shut down
-        # without waiting for it, or the caller would block on a full
-        # chunk sample nobody will read (tests/test_shotrunner.py pins
-        # this).
-        prefetch = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-prefetch"
-        )
-        pending = None
-        try:
-            batch = _sample_chunk(sampler, jobs[0])
-            for k, job in enumerate(jobs):
-                if k + 1 < len(jobs):
-                    pending = prefetch.submit(_sample_chunk, sampler, jobs[k + 1])
-                if _account(_decode_chunk(dec, job, batch, dense_reference)):
-                    break
-                if pending is not None:
-                    batch = pending.result()
-                    pending = None
-        finally:
-            if pending is not None:
-                pending.cancel()
-            prefetch.shutdown(wait=False, cancel_futures=True)
-    else:
-        workers = min(workers, len(jobs), os.cpu_count() or 1)
-        pool = process_pool(
-            workers,
-            _init_worker,
-            (dem, basis, decoder, dense_reference, syndrome_cache_dir),
-        )
-        try:
-            # Keep a bounded in-flight window and consume results strictly
-            # in chunk order: accounting stays deterministic, and once
-            # max_failures trips, chunks beyond the window were never
-            # submitted — the early stop actually saves their work.
-            window = 2 * workers
-            pending: dict[int, object] = {}
-            next_submit = 0
-
-            def _fill_window() -> None:
-                nonlocal next_submit
-                while next_submit < len(jobs) and len(pending) < window:
-                    pending[next_submit] = pool.submit(_run_chunk, jobs[next_submit])
-                    next_submit += 1
-
-            _fill_window()
-            for i in range(len(jobs)):
-                if _account(pending.pop(i).result()):
-                    break
-                _fill_window()
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+    fan = FanOut(state, cfg.workers)
+    results = fan.map(_run_chunk, jobs, inline=_run_chunks_sampling_ahead)
+    with fan, closing(results):
+        for result in results:
+            failures += result.failures
+            done += result.shots
+            if on_chunk is not None:
+                on_chunk(result)
+            if cfg.max_failures is not None and failures >= cfg.max_failures:
+                break
     return RateEstimate(failures, done)
 
 
@@ -397,26 +354,11 @@ class StratumTally:
         self.weighted_sq += result.weighted_sq
 
 
-_STRAT_SAMPLER: WeightStratifiedSampler | None = None
-_STRAT_DECODER: Decoder | None = None
-_STRAT_MODE: str = "proportional"
-
-
-def _init_stratified_worker(
-    dem: DetectorErrorModel, basis: str, decoder: str, max_weight: int, mode: str
-) -> None:
-    global _STRAT_SAMPLER, _STRAT_DECODER, _STRAT_MODE
-    _STRAT_SAMPLER = WeightStratifiedSampler(dem, max_weight=max_weight)
-    _STRAT_DECODER = make_decoder(dem, basis, decoder)
-    _STRAT_MODE = mode
-
-
-def _run_stratified_chunk_with(
-    sampler: WeightStratifiedSampler,
-    dec: Decoder,
+def _run_stratified_chunk(
+    state: tuple[WeightStratifiedSampler, Decoder, str],
     job: tuple[int, int, int, np.random.SeedSequence],
-    mode: str,
 ) -> StratumChunkResult:
+    sampler, dec, mode = state
     index, weight, chunk_shots, seed = job
     rng = np.random.default_rng(seed)
     if mode == "proportional":
@@ -448,52 +390,15 @@ def _run_stratified_chunk_with(
     )
 
 
-def _run_stratified_chunk(
-    job: tuple[int, int, int, np.random.SeedSequence],
-) -> StratumChunkResult:
-    if _STRAT_SAMPLER is None or _STRAT_DECODER is None:
-        raise RuntimeError("stratified worker pool not initialized")
-    return _run_stratified_chunk_with(_STRAT_SAMPLER, _STRAT_DECODER, job, _STRAT_MODE)
-
-
-def make_stratified_pool(
-    dem: DetectorErrorModel,
-    basis: str,
-    decoder: str,
-    max_weight: int,
-    mode: str,
-    workers: int,
-) -> ProcessPoolExecutor:
-    """A worker pool pre-compiled for stratified chunk jobs.
-
-    Callers running many allocation rounds against one DEM (the
-    adaptive estimator) create this once and pass it to every
-    :func:`run_stratified_chunks` call, so the per-worker sampler and
-    decoder compile once instead of once per round.  The caller owns
-    shutdown.
-    """
-    workers = min(workers, os.cpu_count() or 1)
-    return process_pool(
-        workers,
-        _init_stratified_worker,
-        (dem, basis, decoder, max_weight, mode),
-    )
-
-
 def run_stratified_chunks(
     dem: DetectorErrorModel,
     allocations: list[tuple[int, int]],
     basis: str = "z",
     decoder: str = "auto",
     rng: np.random.Generator | None = None,
-    chunk_size: int = 5_000,
-    workers: int = 1,
     mode: str = "proportional",
-    max_weight: int | None = None,
-    on_chunk: Callable[[StratumChunkResult], None] | None = None,
-    sampler: WeightStratifiedSampler | None = None,
-    dec: Decoder | None = None,
-    pool: ProcessPoolExecutor | None = None,
+    config: ExecutionConfig | None = None,
+    fanout: FanOut | None = None,
 ) -> dict[int, StratumTally]:
     """Sample/decode fixed-weight shots for several strata in chunks.
 
@@ -505,52 +410,32 @@ def run_stratified_chunks(
     is a per-stratum sum, so results are worker-count independent —
     the same contract as :func:`run_shot_chunks`.
 
-    ``sampler``/``dec`` let a caller running many rounds (the adaptive
-    estimator) reuse its compiled tables and decoder on the inline
-    path; ``pool`` (from :func:`make_stratified_pool`) is the same
-    reuse for the process fan-out — when given, it overrides
-    ``workers`` and the caller owns its shutdown.
+    ``config`` supplies ``workers``, ``chunk_shots``, ``dec`` and the
+    syndrome cache; its ``sampler``, ``max_failures`` and
+    ``dense_reference`` are ignored.  ``fanout`` is an open
+    :class:`FanOut` over ``(sampler, decoder, mode)`` for ``dem`` that
+    the caller reuses across calls (the adaptive estimator's rounds);
+    it replaces ``basis``, ``decoder``, ``mode``, ``config.workers`` and
+    ``config.dec``.
     """
+    cfg = config or ExecutionConfig()
     rng = rng or np.random.default_rng()
-    jobs: list[tuple[int, int, int, np.random.SeedSequence]] = []
     tallies: dict[int, StratumTally] = {}
-    pending_sizes: list[tuple[int, int]] = []
+    sizes: list[tuple[int, int]] = []
     for weight, shots in allocations:
         tallies.setdefault(weight, StratumTally(weight=weight))
-        for size in plan_chunks(shots, chunk_size):
-            pending_sizes.append((weight, size))
-    seeds = spawn_chunk_seeds(rng, len(pending_sizes))
-    for i, ((weight, size), seed) in enumerate(zip(pending_sizes, seeds)):
-        jobs.append((i, weight, size, seed))
+        sizes += [(weight, size) for size in plan_chunks(shots, cfg.chunk_shots)]
+    seeds = spawn_chunk_seeds(rng, len(sizes))
+    jobs = [(i, w, size, seed) for i, ((w, size), seed) in enumerate(zip(sizes, seeds))]
     if not jobs:
         return tallies
-    table_weight = max_weight if max_weight is not None else max(t for t in tallies)
-
-    def _account(result: StratumChunkResult) -> None:
-        tallies[result.weight].add(result)
-        if on_chunk is not None:
-            on_chunk(result)
-
-    if pool is not None:
-        for result in pool.map(_run_stratified_chunk, jobs):
-            _account(result)
-    elif workers <= 1:
-        if sampler is None or sampler.max_weight < table_weight:
-            sampler = WeightStratifiedSampler(dem, max_weight=table_weight)
-        if dec is None:
-            dec = make_decoder(dem, basis, decoder)
-        for job in jobs:
-            _account(_run_stratified_chunk_with(sampler, dec, job, mode))
-    else:
-        workers = min(workers, len(jobs), os.cpu_count() or 1)
-        own_pool = make_stratified_pool(
-            dem, basis, decoder, table_weight, mode, workers
-        )
-        try:
-            for result in own_pool.map(_run_stratified_chunk, jobs):
-                _account(result)
-        finally:
-            own_pool.shutdown(wait=True, cancel_futures=True)
+    with ExitStack() as own:
+        if fanout is None:
+            sampler = WeightStratifiedSampler(dem, max_weight=max(tallies))
+            dec = compiled_decoder(dem, basis, decoder, cfg)
+            fanout = own.enter_context(FanOut((sampler, dec, mode), cfg.workers))
+        for result in fanout.map(_run_stratified_chunk, jobs):
+            tallies[result.weight].add(result)
     return tallies
 
 

@@ -298,6 +298,7 @@ class ResultStore:
 
     def _append_line(self, path: str, line: str) -> None:
         clock = obs.StopWatch()
+        data = (line + "\n").encode("utf-8")
         with open(path, "a+b") as fh:
             # A writer killed mid-append leaves an unterminated
             # partial line.  Terminate it before appending, so the
@@ -306,11 +307,15 @@ class ResultStore:
             if fh.tell() > 0:
                 fh.seek(-1, os.SEEK_END)
                 if fh.read(1) != b"\n":
-                    fh.write(b"\n")
-            fh.write((line + "\n").encode("utf-8"))
+                    data = b"\n" + data
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
-            self._offsets[path] = fh.tell()
+            # Skip the tail offset past this line only if it starts where
+            # parsing stopped: lines other handles appended in between
+            # must still reach reload(), or this handle never sees them.
+            if self._offsets.get(path, 0) == fh.tell() - len(data):
+                self._offsets[path] = fh.tell()
         _STORE_APPENDS.add()
         _STORE_APPEND_S.record(clock.elapsed)
 

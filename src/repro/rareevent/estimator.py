@@ -26,6 +26,11 @@ Determinism: allocations depend only on accumulated per-stratum counts
 and every chunk's RNG substream is spawned from the caller's seed root
 in a fixed order, so the full adaptive estimate is a pure function of
 the seed for any ``workers`` count.
+
+The estimator compiles the decoder (or takes ``config.dec``) and the
+fixed-weight sampler once, and every round runs on one
+:class:`repro.core.parallel.FanOut` over them: at most one process
+pool per estimate, whose workers only run that state.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from ..analysis.stats import (
     wilson_interval,
     z_for_confidence,
 )
-from ..decoders.metrics import make_decoder
+from ..core.parallel import FanOut
 from ..sim.bitbatch import WORD_BITS, BitSampleBatch, num_shot_words
 from ..sim.dem import DetectorErrorModel
 from .planner import StratumPlan, plan_strata
@@ -302,10 +307,8 @@ def estimate_ler_stratified(
     initial_shots: int = 512,
     max_shots: int = 2_000_000,
     max_rounds: int = 16,
-    chunk_size: int = 5_000,
-    workers: int = 1,
     mode: str = "proportional",
-    dec=None,
+    config=None,
 ) -> StratifiedEstimate:
     """Weight-stratified logical error rate of one DEM.
 
@@ -317,20 +320,28 @@ def estimate_ler_stratified(
     :func:`~repro.rareevent.planner.plan_strata` for
     ``min_failure_weight`` / ``tail_epsilon`` / ``max_weight``.
 
-    The estimate is a pure function of ``rng``'s seed root for any
-    ``workers`` count, which is how the campaign engine re-enters it:
-    a resumed campaign re-derives the same seed and gets a
-    byte-identical estimate.  ``dec`` injects a pre-built decoder (the
-    campaign's compile cache) on the inline path; with ``workers > 1``
-    pool workers compile their own.
+    Execution knobs ride ``config``, an
+    :class:`~repro.experiments.shotrunner.ExecutionConfig`: ``workers``,
+    ``chunk_shots``, ``dec`` (a pre-built decoder, e.g. the campaign's
+    compile cache) and the syndrome cache.  Its ``sampler``,
+    ``max_failures`` and ``dense_reference`` have no use here and are
+    ignored.  The estimate is a pure function of ``rng``'s seed root
+    for any ``workers`` count, which is how the campaign engine
+    re-enters it: a resumed campaign re-derives the same seed and gets
+    a byte-identical estimate.
 
     ``mode="uniform"`` draws uniform instead of conditional subsets and
     reweights (Horvitz-Thompson); zero-failure bounds are then heuristic,
     so proportional mode is the default and the recommended path.
     """
     # Imported here: shotrunner imports this package's sampler.
-    from ..experiments.shotrunner import make_stratified_pool, run_stratified_chunks
+    from ..experiments.shotrunner import (
+        ExecutionConfig,
+        compiled_decoder,
+        run_stratified_chunks,
+    )
 
+    cfg = config or ExecutionConfig()
     rng = rng or np.random.default_rng()
     if plan is None:
         plan = plan_strata(
@@ -346,11 +357,7 @@ def estimate_ler_stratified(
         for s in plan.strata
     ]
     by_weight = {s.weight: s for s in strata}
-    # Compiled once and reused across every adaptive round (and by
-    # run_stratified_chunks' inline path); with workers > 1 each pool
-    # worker builds its own copies instead.
-    if dec is None:
-        dec = make_decoder(dem, basis, decoder)
+    dec = compiled_decoder(dem, basis, decoder, cfg)
     estimate = StratifiedEstimate(
         strata=strata,
         log_zero=plan.log_zero,
@@ -362,18 +369,10 @@ def estimate_ler_stratified(
     if not strata:
         estimate.converged = True
         return estimate
-    sampler = (
-        WeightStratifiedSampler(dem, max_weight=plan.max_weight)
-        if workers <= 1
-        else None
-    )
-    # One pool for every adaptive round: per-worker sampler/decoder
-    # compile once, not once per round.
-    pool = (
-        make_stratified_pool(dem, basis, decoder, plan.max_weight, mode, workers)
-        if workers > 1
-        else None
-    )
+    # Compiled once; every adaptive round runs on this one fan-out and
+    # shares its pool, if it opens one.
+    sampler = WeightStratifiedSampler(dem, max_weight=plan.max_weight)
+    fan = FanOut((sampler, dec, mode), cfg.workers)
 
     def _target() -> float:
         if target_halfwidth is not None:
@@ -382,18 +381,7 @@ def estimate_ler_stratified(
 
     def _run_round(allocations: list[tuple[int, int]]) -> None:
         tallies = run_stratified_chunks(
-            dem,
-            allocations,
-            basis=basis,
-            decoder=decoder,
-            rng=rng,
-            chunk_size=chunk_size,
-            workers=workers,
-            mode=mode,
-            max_weight=plan.max_weight,
-            sampler=sampler,
-            dec=dec if workers <= 1 else None,
-            pool=pool,
+            dem, allocations, rng=rng, config=cfg, fanout=fan
         )
         for weight, tally in tallies.items():
             s = by_weight[weight]
@@ -405,7 +393,7 @@ def estimate_ler_stratified(
                 s.promoted = True
                 estimate.audit_violations.append(weight)
 
-    try:
+    with fan:
         # Round 0: seed every stratum — audit shots for assume-zero
         # strata, a variance bootstrap for the rest.  The seeding
         # respects the total budget: with max_shots below
@@ -434,9 +422,6 @@ def estimate_ler_stratified(
                 break
             _run_round(allocations)
             estimate.rounds += 1
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
     target = _target()
     estimate.converged = bool(target > 0 and estimate.halfwidth <= target)
     return estimate

@@ -15,6 +15,7 @@ import pytest
 
 import repro.api as api
 import repro.decoders
+import repro.rareevent
 from repro.experiments import campaign, shotrunner
 from repro.experiments.shotrunner import ExecutionConfig
 
@@ -213,12 +214,58 @@ class TestOneWayToPassKnobs:
             "meta",
         ]
 
+    def test_run_stratified_chunks_signature(self):
+        fn = shotrunner.run_stratified_chunks
+        self._assert_no_var_keyword(fn)
+        assert params(fn) == [
+            "dem",
+            "allocations",
+            "basis",
+            "decoder",
+            "rng",
+            "mode",
+            "config",
+            "fanout",
+        ]
+
+    def test_estimate_ler_stratified_signature(self):
+        fn = repro.rareevent.estimate_ler_stratified
+        self._assert_no_var_keyword(fn)
+        assert params(fn) == [
+            "dem",
+            "basis",
+            "decoder",
+            "rng",
+            "plan",
+            "min_failure_weight",
+            "tail_epsilon",
+            "max_weight",
+            "target_rel_halfwidth",
+            "target_halfwidth",
+            "confidence",
+            "initial_shots",
+            "max_shots",
+            "max_rounds",
+            "mode",
+            "config",
+        ]
+
     def test_old_keywords_are_type_errors(self):
         dem = _smoke_dem()
         with pytest.raises(TypeError):
             shotrunner.run_shot_chunks(dem, shots=64, chunk_size=64)
         with pytest.raises(TypeError):
             campaign.run_campaign([], workers=2)
+
+    @pytest.mark.parametrize(
+        "old", ["chunk_size", "workers", "dec", "sampler", "pool", "on_chunk"]
+    )
+    def test_old_stratified_keywords_are_type_errors(self, old):
+        dem = _smoke_dem()
+        with pytest.raises(TypeError):
+            shotrunner.run_stratified_chunks(dem, [(2, 64)], **{old: None})
+        with pytest.raises(TypeError):
+            repro.rareevent.estimate_ler_stratified(dem, **{old: None})
 
     def test_decoders_do_not_export_the_ler(self):
         assert "estimate_logical_error_rate" not in repro.decoders.__all__

@@ -79,6 +79,25 @@ class TestCampaignCli:
         assert "4 executed" in out
         assert "resume check: 4 store hits, 0 recomputed" in out
 
+    def test_run_with_workers_reports_the_cache_on_disk(self, tmp_path, capsys):
+        """The cache line is the on-disk census ``campaign status`` prints,
+        so entries written by pool workers are counted."""
+        import os
+
+        from repro.decoders.syncache import summarize_cache_dir
+
+        store = str(tmp_path / "store")
+        args = ["campaign", "run", "--smoke", "--store", store, "--workers", "2"]
+        assert cli_main(args) == 0
+        out = capsys.readouterr().out
+        syn_dir = os.path.join(store, "syndromes")
+        census = summarize_cache_dir(syn_dir)
+        assert census["files"] > 0 and census["entries"] > 0
+        assert (
+            f"syndrome cache: {census['entries']} entries across "
+            f"{census['files']} files in {syn_dir}"
+        ) in out
+
     def test_spec_file_run_status_export(self, tmp_path, capsys):
         import json
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.circuits import nz_schedule, poor_schedule
+from repro.circuits import nz_schedule, poor_schedule, schedule_to_json
 from repro.codes import rotated_surface_code
 from repro.core import (
     DecodingGraph,
@@ -155,6 +155,33 @@ class TestOptimizerLoop:
         for record in result.history:
             assert record.schedule.is_valid()
             assert record.cnot_depth >= 4
+
+    def test_history_independent_of_workers(self):
+        """A run is a pure function of (code, start, config): subgraph
+        sample ``i`` seeds from its index, so fanning sampling over two
+        processes changes no count and no schedule."""
+        code = rotated_surface_code(3)
+        runs = {}
+        for workers in (1, 2):
+            cfg = PropHuntConfig(
+                iterations=1, samples_per_iteration=10, seed=0, workers=workers
+            )
+            result = PropHunt(code, cfg).optimize(poor_schedule(code))
+            runs[workers] = (
+                [
+                    (
+                        r.ambiguous_found,
+                        r.changes_verified,
+                        r.changes_applied,
+                        r.min_logical_weight,
+                        r.subgraph_sizes,
+                    )
+                    for r in result.history
+                ],
+                schedule_to_json(result.final_schedule),
+            )
+        assert runs[1] == runs[2]
+        assert any(applied for *_, applied, _, _ in runs[1][0])
 
     def test_rejects_invalid_start(self):
         code = rotated_surface_code(3)

@@ -18,7 +18,11 @@ from hypothesis import strategies as st
 from repro.circuits import coloration_schedule, nz_schedule
 from repro.codes import load_benchmark_code, rotated_surface_code
 from repro.decoders.metrics import dem_for
-from repro.experiments.shotrunner import run_shot_chunks, run_stratified_chunks
+from repro.experiments.shotrunner import (
+    ExecutionConfig,
+    run_shot_chunks,
+    run_stratified_chunks,
+)
 from repro.noise import NoiseModel
 from repro.rareevent import (
     WeightStratifiedSampler,
@@ -307,7 +311,7 @@ class TestEstimatorOnRealDems:
                 min_failure_weight=2,
                 target_rel_halfwidth=0.15,
                 max_shots=60_000,
-                workers=workers,
+                config=ExecutionConfig(workers=workers),
             )
             results[workers] = (
                 est.rate,
@@ -343,8 +347,7 @@ class TestEstimatorOnRealDems:
                 d3_dem,
                 alloc,
                 rng=np.random.default_rng(9),
-                chunk_size=512,
-                workers=workers,
+                config=ExecutionConfig(chunk_shots=512, workers=workers),
             )
             runs[workers] = {
                 w: (t.shots, t.failures) for w, t in sorted(tallies.items())

@@ -9,6 +9,7 @@ test here is some projection of that claim.
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -59,6 +60,13 @@ def shard_bytes(path) -> dict[str, bytes]:
             with open(os.path.join(path, name), "rb") as fh:
                 out[name] = fh.read()
     return out
+
+
+def _listdir(path) -> list[str]:
+    try:
+        return os.listdir(path)
+    except FileNotFoundError:
+        return []
 
 
 # -- sharded store -----------------------------------------------------------
@@ -115,6 +123,19 @@ class TestShardedStore:
         a.put(k2, {"n": 2}, {"r": 2})
         b.reload()
         assert k2 in b and len(b) == 2
+
+    def test_own_append_does_not_skip_other_writers(self, tmp_path):
+        """A handle's own append must not move its tail offset past a
+        record another handle wrote to the same file first; a fleet
+        worker that missed it would run that job again."""
+        a = ResultStore(tmp_path / "s", shard_prefix=0)
+        b = ResultStore(tmp_path / "s", shard_prefix=0)
+        keys = [job_key({"n": n}) for n in range(3)]
+        a.put(keys[0], {"n": 0}, {"r": 0})
+        b.put(keys[1], {"n": 1}, {"r": 1})
+        a.put(keys[2], {"n": 2}, {"r": 2})
+        a.reload()
+        assert sorted(a.keys()) == sorted(keys)
 
     def test_reload_survives_foreign_compaction(self, tmp_path):
         a = ResultStore(tmp_path / "s", shard_prefix=1)
@@ -238,6 +259,31 @@ class TestLeases:
         time.sleep(0.01)
         claim_lease(str(tmp_path / "h.lease"), "w1", ttl=60, skew_grace_s=0.0)
         assert not renew_lease(str(tmp_path / "h.lease"), "w0", ttl=60)
+
+    def test_simultaneous_fresh_claims_have_one_winner(self, tmp_path):
+        """A fresh claim is visible only with its content: a racing
+        claimer must never read it half-written, take it for a torn
+        lease, and take over a group its owner is still running."""
+        start = threading.Barrier(2)
+        winners: list[int] = []
+
+        def contend(path: str, name: str) -> None:
+            start.wait(timeout=10)
+            if claim_lease(path, name, ttl=60):
+                winners.append(1)
+
+        for i in range(300):
+            path = str(tmp_path / f"g{i}.lease")
+            threads = [
+                threading.Thread(target=contend, args=(path, name))
+                for name in ("w0", "w1")
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(winners) == i + 1, f"round {i}"
 
     def test_torn_lease_write_is_takeover_eligible(self, tmp_path):
         path = str(tmp_path / "g.lease")
@@ -406,6 +452,13 @@ class TestRacingProcesses:
             )
 
         chaos = spawn("--ttl", "1", "--chaos-exit-after", "1")
+        # Start the steady worker once the chaos worker holds a lease:
+        # started together, the steady one can finish every job before
+        # the chaos one has claimed any, and the drill never happens.
+        deadline = time.monotonic() + 120
+        while not any(name.endswith(".lease") for name in _listdir(lease_dir(store))):
+            assert chaos.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
         steady = spawn("--ttl", "5", "--timeout", "240")
         assert chaos.wait(timeout=240) == 42  # died holding its lease
         assert steady.wait(timeout=240) == 0
