@@ -104,7 +104,7 @@ def enumerate_candidates(
             candidates.append(change)
 
     for err in logical_error:
-        mechanism = dem.mechanisms[err]
+        mechanism = dem.mechanism(err)
         for source in mechanism.sources:
             if not source.label or source.label[0] != "cnot":
                 continue

@@ -11,57 +11,60 @@ lies inside ``S'`` (the "errors connected only to the syndromes s'" of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ..sim.dem import DetectorErrorModel
+from ..gf2.bitmat import unpack_rows
+from ..sim.dem import DetectorErrorModel, pack_bits
 
 
 class DecodingGraph:
-    """Adjacency view of a DEM plus submatrix extraction."""
+    """Adjacency view of a DEM plus submatrix extraction.
+
+    Reads the DEM's packed signature rows: a closure is one packed
+    subset test over all errors, and the per-error / per-detector
+    adjacency lists are built only when a subgraph search asks for them.
+    """
 
     def __init__(self, dem: DetectorErrorModel):
         self.dem = dem
         self.num_errors = dem.num_errors
         self.num_detectors = dem.num_detectors
-        self.error_dets: list[tuple[int, ...]] = [
-            m.detectors for m in dem.mechanisms
-        ]
-        self.error_obs: list[tuple[int, ...]] = [
-            m.observables for m in dem.mechanisms
-        ]
-        self.det_errors: list[list[int]] = [[] for _ in range(dem.num_detectors)]
+        # Detector bits of each signature (observable bits masked off).
+        self._det_words = dem.signatures & pack_bits(
+            range(dem.num_detectors), dem.num_detectors + dem.num_observables
+        )
+        self._detected = self._det_words.any(axis=1)
+
+    @cached_property
+    def error_dets(self) -> list[tuple[int, ...]]:
+        return self.dem.supports()[0]
+
+    @cached_property
+    def det_errors(self) -> list[list[int]]:
+        out: list[list[int]] = [[] for _ in range(self.num_detectors)]
         for e, dets in enumerate(self.error_dets):
             for d in dets:
-                self.det_errors[d].append(e)
+                out[d].append(e)
+        return out
 
     def closure_errors(self, det_subset: set[int]) -> list[int]:
         """All errors whose entire detector support lies in ``det_subset``."""
-        out = []
-        candidates: set[int] = set()
-        for d in det_subset:
-            candidates.update(self.det_errors[d])
-        for e in sorted(candidates):
-            if all(d in det_subset for d in self.error_dets[e]):
-                out.append(e)
-        return out
+        outside = ~pack_bits(det_subset, self.dem.signatures.shape[1] * 64)
+        inside = ~(self._det_words & outside).any(axis=1)
+        return np.flatnonzero(inside & self._detected).tolist()
 
     def submatrices(
         self, det_subset: list[int], error_subset: list[int]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Dense (H', L') for the given syndrome rows / error columns."""
-        det_index = {d: i for i, d in enumerate(det_subset)}
-        h = np.zeros((len(det_subset), len(error_subset)), dtype=np.uint8)
-        l_mat = np.zeros(
-            (self.dem.num_observables, len(error_subset)), dtype=np.uint8
+        d, o = self.num_detectors, self.dem.num_observables
+        bits = unpack_rows(
+            self.dem.signatures[np.asarray(error_subset, dtype=np.int64)], d + o
         )
-        for j, e in enumerate(error_subset):
-            for d in self.error_dets[e]:
-                if d in det_index:
-                    h[det_index[d], j] = 1
-            for o in self.error_obs[e]:
-                l_mat[o, j] = 1
-        return h, l_mat
+        h = np.ascontiguousarray(bits[:, np.asarray(det_subset, dtype=np.int64)].T)
+        return h, np.ascontiguousarray(bits[:, d:].T)
 
 
 @dataclass

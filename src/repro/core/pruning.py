@@ -19,6 +19,7 @@ import numpy as np
 
 from ..circuits.schedule import Schedule
 from ..codes.css import CSSCode
+from ..gf2.bitmat import unpack_rows
 from ..sim.dem import DetectorErrorModel
 from .ambiguity import is_ambiguous
 from .changes import CandidateChange
@@ -46,33 +47,24 @@ def _transport_logical_error(
     old_dem: DetectorErrorModel,
     new_dem: DetectorErrorModel,
     logical_error: list[int],
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray]:
     """Re-evaluate the old logical error's faults in the new circuit.
 
     Faults are identified by (gate label, pauli) — the gate set is
-    unchanged by schedule rewrites, only its order.  Returns the XOR of
-    the transported mechanisms' (detector, observable) signatures, or
-    ``None`` if a fault can no longer be located (it became invisible).
+    unchanged by schedule rewrites, only its order — and located in the
+    new DEM through its fault provenance arrays, so its mechanism
+    objects are never built.  Returns the XOR of the transported
+    mechanisms' (detector, observable) signatures.
     """
-    index: dict[tuple, int] = {}
-    for j, mech in enumerate(new_dem.mechanisms):
-        for src in mech.sources:
-            index[(src.label, src.pauli)] = j
-
-    det_sig = np.zeros(new_dem.num_detectors, dtype=np.uint8)
-    obs_sig = np.zeros(new_dem.num_observables, dtype=np.uint8)
+    acc = np.zeros(new_dem.signatures.shape[1], dtype=np.uint64)
     for err in logical_error:
-        for src in old_dem.mechanisms[err].sources:
-            j = index.get((src.label, src.pauli))
-            if j is None:
+        for src in old_dem.mechanism(err).sources:
+            j = new_dem.locate_fault(src.label, src.pauli)
+            if j < 0:
                 # The fault no longer flips anything: it dropped out of the
                 # DEM entirely, which certainly breaks the logical error.
                 continue
-            mech = new_dem.mechanisms[j]
-            for d in mech.detectors:
-                det_sig[d] ^= 1
-            for o in mech.observables:
-                obs_sig[o] ^= 1
+            acc ^= new_dem.signatures[j]
             # Take one representative fault per old mechanism.  Sources
             # merged in the old circuit can in principle diverge after the
             # rewrite; using the first is the conservative reading of
@@ -80,7 +72,8 @@ def _transport_logical_error(
             # rejecting candidates (a diverged sibling would differ even
             # more from the original logical error).
             break
-    return det_sig, obs_sig
+    bits = unpack_rows(acc[None, :], new_dem.num_detectors + new_dem.num_observables)[0]
+    return bits[: new_dem.num_detectors], bits[new_dem.num_detectors :]
 
 
 def check_candidate(
@@ -122,8 +115,7 @@ def check_candidate(
     h_new, l_new = new_graph.submatrices(sorted(det_set), errors)
     removes = not is_ambiguous(h_new, l_new)
 
-    transported = _transport_logical_error(old_dem, new_dem, logical_error)
-    det_sig, obs_sig = transported
+    det_sig, obs_sig = _transport_logical_error(old_dem, new_dem, logical_error)
     breaks = bool(det_sig.any()) or not bool(obs_sig.any())
 
     return PruneOutcome(candidate, new_schedule, True, removes, breaks)

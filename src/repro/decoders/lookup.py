@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ..gf2.bitmat import pack_rows
+from ..gf2.bitmat import pack_rows, unpack_rows
 from ..sim.dem import DetectorErrorModel
 from .base import Decoder
 
@@ -35,11 +35,8 @@ class LookupDecoder(Decoder):
         self.table: dict[bytes, tuple[float, bytes]] = {}
         probs = dem.probabilities()
         num_d, num_o = dem.num_detectors, dem.num_observables
-        det_cols = np.zeros((dem.num_errors, num_d), dtype=np.uint8)
-        obs_cols = np.zeros((dem.num_errors, num_o), dtype=np.uint8)
-        for j, m in enumerate(dem.mechanisms):
-            det_cols[j, list(m.detectors)] = 1
-            obs_cols[j, list(m.observables)] = 1
+        bits = unpack_rows(dem.signatures, num_d + num_o)
+        det_cols, obs_cols = bits[:, :num_d], bits[:, num_d:]
 
         base = float(np.prod(1 - probs))
         indices = range(dem.num_errors)

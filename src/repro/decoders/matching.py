@@ -167,11 +167,12 @@ class MatchingDecoder(Decoder):
         boundary = nlocal  # extra node index
         # Keep the best (lowest-weight) edge between each node pair.
         best: dict[tuple[int, int], tuple[float, int]] = {}
-        for mech in self.dem.mechanisms:
+        dets, obs = self.dem.supports()
+        for mech_dets, mech_obs, prob in zip(dets, obs, self.dem.probs.tolist()):
             local = sorted(
-                self.local_index[d] for d in mech.detectors if d in self.local_index
+                self.local_index[d] for d in mech_dets if d in self.local_index
             )
-            flips_obs = int(self.observable in mech.observables)
+            flips_obs = int(self.observable in mech_obs)
             if not local:
                 continue
             if len(local) == 1:
@@ -183,7 +184,7 @@ class MatchingDecoder(Decoder):
                     f"mechanism flips {len(local)} same-type detectors; "
                     "DEM is not graph-like — use BpOsdDecoder instead"
                 )
-            p = min(max(mech.prob, 1e-15), 0.5 - 1e-12)
+            p = min(max(prob, 1e-15), 0.5 - 1e-12)
             weight = math.log((1 - p) / p)
             key = (u, v)
             if key not in best or weight < best[key][0]:

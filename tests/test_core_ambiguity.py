@@ -15,6 +15,7 @@ from repro.core import (
 )
 from repro.decoders.metrics import dem_for
 from repro.noise import NoiseModel
+from repro.sim import DetectorErrorModel, ErrorMechanism
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +41,36 @@ class TestDecodingGraph:
         graph = DecodingGraph(d3_dem)
         full = set(range(d3_dem.num_detectors))
         assert len(graph.closure_errors(full)) == d3_dem.num_errors
+
+    def test_closure_and_submatrices_match_the_supports(self):
+        """Packed closure/submatrices against their definitions, on a DEM
+        with a detector-free (undetectable logical) mechanism and a
+        detector past the first 64-bit word."""
+        supports = [
+            ((0,), (0,)),
+            ((0, 65), ()),
+            ((), (0,)),
+            ((1, 2), (1,)),
+            ((65,), ()),
+        ]
+        dem = DetectorErrorModel.from_mechanisms(
+            [ErrorMechanism(0.01, d, o, ()) for d, o in supports], 66, 2
+        )
+        graph = DecodingGraph(dem)
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            subset = {int(d) for d in rng.choice(66, size=4, replace=False)} | {0}
+            want = [
+                e
+                for e, (dets, _) in enumerate(supports)
+                if dets and set(dets) <= subset
+            ]
+            assert graph.closure_errors(subset) == want
+            h, l_mat = graph.submatrices(sorted(subset), want)
+            for j, e in enumerate(want):
+                dets, obs = supports[e]
+                assert h[:, j].tolist() == [int(d in dets) for d in sorted(subset)]
+                assert l_mat[:, j].tolist() == [int(o in obs) for o in range(2)]
 
     def test_submatrices_shapes(self, d3_dem):
         graph = DecodingGraph(d3_dem)

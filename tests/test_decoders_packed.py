@@ -88,7 +88,7 @@ def random_dems(draw):
                 sources=(),
             )
         )
-    return DetectorErrorModel(
+    return DetectorErrorModel.from_mechanisms(
         mechanisms=mechanisms,
         num_detectors=num_detectors,
         num_observables=num_observables,
@@ -183,7 +183,7 @@ def test_matching_packed_reuses_cache_across_batches(surface_dem):
 
 def _empty_detector_dem(prob: float = 0.49) -> DetectorErrorModel:
     """A DEM whose single mechanism flips an observable but no detector."""
-    return DetectorErrorModel(
+    return DetectorErrorModel.from_mechanisms(
         mechanisms=[
             ErrorMechanism(prob=prob, detectors=(), observables=(0,), sources=())
         ],

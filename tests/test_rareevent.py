@@ -59,7 +59,7 @@ def tiny_dem(probs, num_detectors=2) -> DetectorErrorModel:
         )
         for j, p in enumerate(probs)
     ]
-    return DetectorErrorModel(
+    return DetectorErrorModel.from_mechanisms(
         mechanisms=mechanisms, num_detectors=num_detectors, num_observables=1
     )
 
@@ -222,7 +222,9 @@ class TestPlanner:
         assert [s.weight for s in plan.strata] == [1, 2, 3]
 
     def test_empty_dem(self):
-        dem = DetectorErrorModel(mechanisms=[], num_detectors=0, num_observables=0)
+        dem = DetectorErrorModel.from_mechanisms(
+            mechanisms=[], num_detectors=0, num_observables=0
+        )
         plan = plan_strata(dem)
         assert plan.strata == ()
         assert math.exp(plan.log_zero) == 1.0

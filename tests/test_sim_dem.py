@@ -1,12 +1,14 @@
 """Tests for DEM extraction: propagation rules, merging, provenance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.circuits import Circuit, build_memory_experiment, nz_schedule, poor_schedule
 from repro.codes import rotated_surface_code
 from repro.noise import NoiseModel
-from repro.sim import DemSampler, extract_dem
+from repro.sim import DemSampler, DetectorErrorModel, extract_dem
 
 
 def single_error_circuit(pauli_gate_sequence):
@@ -169,10 +171,14 @@ class TestSampler:
     def test_zero_noise_samples_zero(self):
         code = rotated_surface_code(3)
         exp = build_memory_experiment(code, nz_schedule(code), rounds=2)
-        dem = extract_dem(NoiseModel(p=1e-3).apply(exp.circuit))
+        noisy = extract_dem(NoiseModel(p=1e-3).apply(exp.circuit))
         # Zero out probabilities: no detection events.
-        for m in dem.mechanisms:
-            m.prob = 0.0
+        dem = DetectorErrorModel.from_mechanisms(
+            [dataclasses.replace(m, prob=0.0) for m in noisy.mechanisms],
+            noisy.num_detectors,
+            noisy.num_observables,
+            noisy.detector_labels,
+        )
         batch = DemSampler(dem).sample(100, np.random.default_rng(0))
         assert not batch.detectors.any()
         assert not batch.observables.any()

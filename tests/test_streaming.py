@@ -92,7 +92,7 @@ class TestRoundLayout:
         assert surface_dem.detector_labels[start][0] == FINAL_ROUND
 
     def test_unlabeled_dem_falls_back_to_per_detector(self):
-        dem = DetectorErrorModel(
+        dem = DetectorErrorModel.from_mechanisms(
             mechanisms=[
                 ErrorMechanism(
                     prob=0.1, detectors=(d,), observables=(0,), sources=()
@@ -273,7 +273,7 @@ def streaming_dems(draw):
                 sources=(),
             )
         )
-    return DetectorErrorModel(
+    return DetectorErrorModel.from_mechanisms(
         mechanisms=mechanisms,
         num_detectors=num_detectors,
         num_observables=num_observables,
