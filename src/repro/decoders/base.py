@@ -24,6 +24,13 @@ Subclasses override ``_decode_unique_packed`` (or the full packed entry
 point) to consume the deduplicated packed syndromes natively; the
 default falls back to ``decode_batch`` on the unpacked unique rows,
 which is already asymptotically packed — correct for any decoder.
+
+Every decoder remembers decoded syndromes in exactly one place: its
+:attr:`Decoder.syndrome_cache`, a :class:`~repro.decoders.syncache.
+SyndromeCache` consulted only by :meth:`Decoder._decode_unique_cached`.
+It lives in memory until :meth:`Decoder.attach_syndrome_cache` swaps in
+an on-disk one.  The dense ``decode_batch`` references keep no memo
+across calls, so packed ≡ dense compares two independent paths.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from ..sim.bitbatch import (
     unique_shot_words,
 )
 from ..sim.dem import DetectorErrorModel
+from .syncache import SyndromeCache
 
 # Unique-syndrome dedup ratio: decode.unique / decode.shots is the
 # fraction of shots that actually reached a decoder.
@@ -55,11 +63,7 @@ class Decoder(abc.ABC):
 
     def __init__(self, dem: DetectorErrorModel):
         self.dem = dem
-        # Optional persistent syndrome→correction cache (repro.decoders.
-        # syncache), consulted by decode_batch_packed before any decoding
-        # runs.  None = no persistence; the in-memory per-decoder caches
-        # still apply.
-        self.syndrome_cache = None
+        self._syndrome_cache: SyndromeCache | None = None
 
     @abc.abstractmethod
     def decode_batch(self, detectors: np.ndarray) -> np.ndarray:
@@ -86,10 +90,18 @@ class Decoder(abc.ABC):
         """Bytes per cached value: the observable bits, packed."""
         return max(1, (self.dem.num_observables + 7) // 8)
 
-    def attach_syndrome_cache(self, cache) -> None:
-        """Attach a persistent cache; the caller owns addressing (see
-        :meth:`SyndromeCache.for_decoder`)."""
-        self.syndrome_cache = cache
+    @property
+    def syndrome_cache(self) -> SyndromeCache:
+        """The decoder's syndrome memo: in memory, built on first use,
+        until :meth:`attach_syndrome_cache` replaces it."""
+        if self._syndrome_cache is None:
+            self._syndrome_cache = SyndromeCache.for_decoder(self, None)
+        return self._syndrome_cache
+
+    def attach_syndrome_cache(self, cache: SyndromeCache) -> None:
+        """Replace the memo with ``cache`` (typically on disk); the caller
+        owns addressing (see :meth:`SyndromeCache.for_decoder`)."""
+        self._syndrome_cache = cache
 
     def logical_failures(
         self, detectors: np.ndarray, observables: np.ndarray
@@ -120,52 +132,37 @@ class Decoder(abc.ABC):
             # Decode it once and broadcast — note the prediction is not
             # necessarily zero (an MLE decoder may bet on a flip).
             pred = self.decode_batch(np.zeros((1, 0), dtype=np.uint8))
-            pred = np.asarray(pred, dtype=np.uint8).reshape(1, num_obs)
-            observables = np.zeros((num_obs, nwords), dtype=np.uint64)
-            full = np.uint64(0xFFFFFFFFFFFFFFFF)
-            tail = shots % 64
-            for o in range(num_obs):
-                if pred[0, o]:
-                    observables[o, :] = full
-                    if tail:
-                        observables[o, -1] = full >> np.uint64(64 - tail)
+            pred = np.asarray(pred, dtype=bool).reshape(num_obs, 1)
+            full = np.where(pred, ~np.uint64(0), np.uint64(0))
+            observables = mask_shot_tail(np.repeat(full, nwords, axis=1), shots)
             return BitSampleBatch(batch.detectors, observables, shots)
         unique, inverse = unique_shot_words(batch.shot_syndromes())
         _DECODE_SHOTS.add(shots)
         _DECODE_UNIQUE.add(unique.shape[0])
-        predictions = self._decode_unique_cached(unique)
+        predictions = self._decode_unique_cached(unique, num_obs)
         observables = scatter_unique(predictions, inverse)
         return BitSampleBatch(batch.detectors, observables, shots)
 
-    def _decode_unique_cached(self, unique: np.ndarray) -> np.ndarray:
-        """Consult the persistent syndrome cache around ``_decode_unique_packed``.
+    def _decode_unique_cached(self, unique: np.ndarray, width: int) -> np.ndarray:
+        """Decode distinct syndrome keys through the syndrome memo.
 
-        Cache hits skip the decoder entirely; only missed unique
-        syndromes are decoded, and their corrections are written back.
-        With no cache attached this is ``_decode_unique_packed``
-        verbatim — the cached and uncached paths are litmus-tested to be
-        bit-identical.
+        Returns ``(groups, width)`` uint8 prediction columns (every
+        observable on the base path, one for matching).  Memo hits skip
+        the decoder; only misses reach :meth:`_decode_unique_packed`,
+        and their columns are stored as little-endian ``packbits``.
         """
-        cache = self.syndrome_cache
-        if cache is None:
-            return self._decode_unique_packed(unique)
-        num_obs = self.dem.num_observables
-        values, hit_mask = cache.lookup(unique)
-        predictions = np.zeros((unique.shape[0], num_obs), dtype=np.uint8)
-        if hit_mask.any():
-            bits = np.unpackbits(values[hit_mask], axis=1, bitorder="little")
-            predictions[hit_mask] = bits[:, :num_obs]
+        memo = self.syndrome_cache
+        values, hit_mask = memo.lookup(unique)
+        predictions = np.unpackbits(values, axis=1, count=width, bitorder="little")
         miss_idx = np.nonzero(~hit_mask)[0]
         if miss_idx.size:
             decoded = np.asarray(
                 self._decode_unique_packed(unique[miss_idx]), dtype=np.uint8
             )
             predictions[miss_idx] = decoded
-            packed = np.packbits(decoded, axis=1, bitorder="little")
-            width = cache.value_bytes
-            if packed.shape[1] < width:
-                packed = np.pad(packed, ((0, 0), (0, width - packed.shape[1])))
-            cache.insert(unique[miss_idx], packed[:, :width])
+            memo.insert(
+                unique[miss_idx], np.packbits(decoded, axis=1, bitorder="little")
+            )
         return predictions
 
     def _decode_unique_packed(self, unique: np.ndarray) -> np.ndarray:

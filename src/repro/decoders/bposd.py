@@ -74,7 +74,6 @@ class BpOsdDecoder(Decoder):
         self.cols_present = np.nonzero(col_counts)[0]
         self.col_starts = np.searchsorted(self.col_sorted, self.cols_present)
         self._h_dense = np.asarray(self.h.todense(), dtype=np.uint8)
-        self._cache: dict[bytes, np.ndarray] = {}
         self.bp_batch_size = 128
 
     @property
@@ -238,41 +237,29 @@ class BpOsdDecoder(Decoder):
     # -- public API ----------------------------------------------------------------
 
     def _decode_unique_dense(self, unique: np.ndarray) -> np.ndarray:
-        """Decode already-deduplicated dense syndromes, with caching.
+        """Decode already-deduplicated dense syndromes.
 
         ``unique``: ``(groups, num_detectors)`` distinct syndromes.
         Both decode entry points funnel here, so the dense and packed
-        paths share one cache (keyed by dense syndrome bytes) and one
-        BP/OSD pipeline — bit-identical results by construction.
+        paths share one BP/OSD pipeline.
         """
         unique = np.asarray(unique, dtype=np.uint8)
         results = np.zeros((unique.shape[0], self.dem.num_observables), dtype=np.uint8)
-        to_solve = []
-        for i in range(unique.shape[0]):
-            key = unique[i].tobytes()
-            cached = self._cache.get(key)
-            if cached is not None:
-                results[i] = cached
-            else:
-                to_solve.append(i)
-        for start in range(0, len(to_solve), self.bp_batch_size):
-            chunk = to_solve[start : start + self.bp_batch_size]
-            batch = unique[chunk]
+        for start in range(0, unique.shape[0], self.bp_batch_size):
+            batch = unique[start : start + self.bp_batch_size]
             decisions, converged, posterior = self._bp(batch)
-            for j, i in enumerate(chunk):
+            for j in range(batch.shape[0]):
                 if converged[j] or not self.osd:
                     e = decisions[j]
                 else:
                     e = self._osd0(batch[j], posterior[j])
-                obs = (self.l.dot(e) % 2).astype(np.uint8)
-                results[i] = obs
-                self._cache[unique[i].tobytes()] = obs
+                results[start + j] = (self.l.dot(e) % 2).astype(np.uint8)
         return results
 
     def _decode_unique_packed(self, unique: np.ndarray) -> np.ndarray:
         # BP+OSD consumes the deduplicated *dense* minority: unpack just
-        # the distinct syndromes (a few rows, not the batch) and reuse
-        # the shared cache + BP/OSD pipeline.
+        # the distinct syndromes (a few rows, not the batch) and run the
+        # BP/OSD pipeline on them.
         return self._decode_unique_dense(
             unpack_rows(unique, self.dem.num_detectors)
         )

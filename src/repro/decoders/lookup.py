@@ -1,7 +1,9 @@
 """Exact maximum-likelihood lookup decoding for tiny DEMs.
 
-Enumerates error subsets, accumulating for every syndrome the most likely
-observable pattern.  Exponential — strictly a test/reference decoder, and
+Enumerates error subsets, summing their probability per (syndrome,
+observable pattern), and keeps for every syndrome the observable pattern
+with the largest total: the most likely logical class, not the single
+most likely error.  Exponential — strictly a test/reference decoder, and
 the ground truth the paper's "MLE decoder" discussion (§4) refers to.
 """
 
@@ -32,7 +34,8 @@ class LookupDecoder(Decoder):
                 f"{dem.num_errors} mechanisms is too many for exact lookup; "
                 "pass max_weight to bound the enumeration"
             )
-        self.table: dict[bytes, tuple[float, bytes]] = {}
+        # Class masses: syndrome -> observable pattern -> total probability.
+        mass: dict[bytes, dict[bytes, float]] = {}
         probs = dem.probabilities()
         num_d, num_o = dem.num_detectors, dem.num_observables
         bits = unpack_rows(dem.signatures, num_d + num_o)
@@ -53,18 +56,18 @@ class LookupDecoder(Decoder):
                 for j in subset:
                     det ^= det_cols[j]
                     obs ^= obs_cols[j]
-                key = det.tobytes()
-                # MLE marginalizes over patterns: accumulate probability per
-                # (syndrome, observable) and keep the argmax observable.
-                entry = self.table.get(key)
-                if entry is None or prob > entry[0]:
-                    self.table[key] = (prob, obs.tobytes())
+                classes = mass.setdefault(det.tobytes(), {})
+                classes[obs.tobytes()] = classes.get(obs.tobytes(), 0.0) + prob
 
+        # MLE: per syndrome, the observable pattern of largest total mass.
+        self.table: dict[bytes, bytes] = {
+            key: max(classes, key=classes.__getitem__) for key, classes in mass.items()
+        }
         # Packed-key mirror of the table: syndromes re-keyed by their
         # bit-packed words, so the packed decode path maps per-shot
         # syndrome keys to observable rows with zero unpacking.
         self._packed_table: dict[bytes, np.ndarray] = {}
-        for key, (_, obs_bytes) in self.table.items():
+        for key, obs_bytes in self.table.items():
             det = np.frombuffer(key, dtype=np.uint8)
             pkey = pack_rows(det[None, :]).tobytes()
             self._packed_table[pkey] = np.frombuffer(obs_bytes, dtype=np.uint8)
@@ -72,7 +75,9 @@ class LookupDecoder(Decoder):
     @property
     def cache_namespace(self) -> str:
         # max_weight truncates the enumeration, changing predictions.
-        return f"lookup:w{self.max_weight}"
+        # "mle" marks the class-mass argmax: cache files written by the
+        # earlier most-likely-error rule are never served.
+        return f"lookup-mle:w{self.max_weight}"
 
     def _decode_unique_packed(self, unique: np.ndarray) -> np.ndarray:
         """Table lookup keyed directly on the packed syndrome words."""
@@ -88,7 +93,7 @@ class LookupDecoder(Decoder):
         shots = detectors.shape[0]
         out = np.zeros((shots, self.dem.num_observables), dtype=np.uint8)
         for i in range(shots):
-            entry = self.table.get(detectors[i].tobytes())
-            if entry is not None:
-                out[i] = np.frombuffer(entry[1], dtype=np.uint8)
+            obs_bytes = self.table.get(detectors[i].tobytes())
+            if obs_bytes is not None:
+                out[i] = np.frombuffer(obs_bytes, dtype=np.uint8)
         return out

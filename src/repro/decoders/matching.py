@@ -13,8 +13,9 @@ sub-threshold error rates — are matched by exact enumeration of every
 pairing-with-boundary (there are at most 764 for eight defects), either
 scalar per syndrome or vectorized over whole groups of deduplicated
 syndromes; networkx's blossom algorithm is the fallback for larger sets.
-Decode results are cached by syndrome, and the packed path additionally
-decodes each *distinct* syndrome only once (unique-syndrome batching).
+The packed path decodes each *distinct* subset syndrome only once
+(unique-syndrome batching) and remembers it in the decoder's syndrome
+memo (:meth:`~repro.decoders.base.Decoder._decode_unique_cached`).
 """
 
 from __future__ import annotations
@@ -134,17 +135,12 @@ class MatchingDecoder(Decoder):
         self.local_index = {d: i for i, d in enumerate(self.subset)}
         self._subset_rows = np.asarray(self.subset, dtype=np.int64)
         self._build_graph()
-        self._cache: dict[bytes, int] = {}
-        # Packed-path cache, keyed by the packed subset-syndrome words.
-        # Kept separate from the dense byte-key cache: the two key
-        # encodings live in different domains.
-        self._packed_cache: dict[bytes, int] = {}
 
     # -- persistent syndrome cache addressing ----------------------------------
-    # Matching dedups on the *subset* syndrome, so its persistent cache
-    # keys are subset words, and its namespace must pin everything that
-    # shapes the result: which observable is predicted and which
-    # detectors form the graph.
+    # Matching dedups on the *subset* syndrome, so its memo keys are
+    # subset words and its one-byte values are the predicted flip; the
+    # namespace must pin everything that shapes the result: which
+    # observable is predicted and which detectors form the graph.
 
     @property
     def cache_namespace(self) -> str:
@@ -335,17 +331,10 @@ class MatchingDecoder(Decoder):
 
     def decode_batch(self, detectors: np.ndarray) -> np.ndarray:
         detectors = np.asarray(detectors, dtype=np.uint8)
-        shots = detectors.shape[0]
-        out = np.zeros((shots, self.dem.num_observables), dtype=np.uint8)
-        sub = detectors[:, self.subset]
-        for i in range(shots):
-            key = sub[i].tobytes()
-            hit = self._cache.get(key)
-            if hit is None:
-                defects = tuple(int(d) for d in np.nonzero(sub[i])[0])
-                hit = self._decode_defects(defects)
-                self._cache[key] = hit
-            out[i, self.observable] = hit
+        out = np.zeros((detectors.shape[0], self.dem.num_observables), dtype=np.uint8)
+        for i, row in enumerate(detectors[:, self.subset]):
+            defects = tuple(int(d) for d in np.nonzero(row)[0])
+            out[i, self.observable] = self._decode_defects(defects)
         return out
 
     def decode_batch_packed(self, batch: BitSampleBatch) -> BitSampleBatch:
@@ -360,58 +349,17 @@ class MatchingDecoder(Decoder):
         """
         shots = batch.shots
         num_obs = self.dem.num_observables
-        nwords = num_shot_words(shots)
-        observables = np.zeros((num_obs, nwords), dtype=np.uint64)
+        observables = np.zeros((num_obs, num_shot_words(shots)), dtype=np.uint64)
         if shots == 0 or num_obs == 0:
             return BitSampleBatch(batch.detectors, observables, shots)
-        nsub = len(self.subset)
-        sub_rows = (
-            batch.detectors[self._subset_rows]
-            if nsub
-            else np.zeros((0, batch.num_words), dtype=np.uint64)
-        )
+        sub_rows = batch.detectors[self._subset_rows]
         unique, inverse = unique_shot_words(shot_words(sub_rows, shots))
-        flips = np.zeros((unique.shape[0], 1), dtype=np.uint8)
-        miss_rows: list[int] = []
-        miss_keys: list[bytes] = []
-        raw = unique.tobytes()
-        row_bytes = unique.shape[1] * 8
-        cache_get = self._packed_cache.get
-        for i in range(unique.shape[0]):
-            key = raw[i * row_bytes : (i + 1) * row_bytes]
-            hit = cache_get(key)
-            if hit is None:
-                miss_rows.append(i)
-                miss_keys.append(key)
-            else:
-                flips[i, 0] = hit
-        if miss_rows and self.syndrome_cache is not None:
-            # Persistent cache: syndromes decoded by earlier chunks, jobs,
-            # or campaign runs skip matching entirely.
-            values, hit_mask = self.syndrome_cache.lookup(unique[miss_rows])
-            if hit_mask.any():
-                miss_idx = np.asarray(miss_rows, dtype=np.int64)
-                cached_flips = values[:, 0] & 1
-                flips[miss_idx[hit_mask], 0] = cached_flips[hit_mask]
-                packed_cache = self._packed_cache
-                flip_list = cached_flips.tolist()
-                still: list[int] = []
-                for j, hit in enumerate(hit_mask.tolist()):
-                    if hit:
-                        packed_cache[miss_keys[j]] = flip_list[j]
-                    else:
-                        still.append(j)
-                miss_rows = [miss_rows[j] for j in still]
-                miss_keys = [miss_keys[j] for j in still]
-        if miss_rows:
-            decoded = self._decode_unique_keys(unique[miss_rows], nsub)
-            flips[miss_rows, 0] = decoded
-            for key, value in zip(miss_keys, decoded):
-                self._packed_cache[key] = int(value)
-            if self.syndrome_cache is not None:
-                self.syndrome_cache.insert(unique[miss_rows], decoded[:, None])
+        flips = self._decode_unique_cached(unique, 1)
         observables[self.observable] = scatter_unique(flips, inverse)[0]
         return BitSampleBatch(batch.detectors, observables, shots)
+
+    def _decode_unique_packed(self, unique: np.ndarray) -> np.ndarray:
+        return self._decode_unique_keys(unique, len(self.subset))[:, None]
 
     def _decode_unique_keys(self, keys: np.ndarray, nsub: int) -> np.ndarray:
         """Match a set of distinct packed subset syndromes, grouped by

@@ -2,9 +2,11 @@
 
 At sub-threshold error rates the same few syndromes dominate every job
 that shares a DEM: one chunk, the next chunk, the neighboring campaign
-grid point, yesterday's run.  The in-memory per-decoder caches already
-exploit that within a process; this module makes the map durable and
-shared.  A :class:`SyndromeCache` persists ``packed syndrome words →
+grid point, yesterday's run.  Every decoder's syndrome memo is a
+:class:`SyndromeCache` (in memory by default, see
+:attr:`~repro.decoders.base.Decoder.syndrome_cache`), which exploits
+that within a process.  Given a directory, the same map becomes durable
+and shared: it persists ``packed syndrome words →
 packed observable flips`` per (DEM fingerprint, decoder namespace) in
 the campaign's :class:`~repro.experiments.store.ResultStore` directory,
 so decode cost across a campaign becomes sublinear in total shots —
@@ -37,6 +39,7 @@ import hashlib
 import json
 import os
 import re
+from itertools import compress
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -81,6 +84,43 @@ def _cache_filename(
         return f"{stem}.cache"
     tag = _TAG_SAFE.sub("_", str(writer_tag))[:24]
     return f"{stem}.w{tag}.cache"
+
+
+def _read_cache_file(path: str) -> tuple[dict, dict[bytes, bytes]] | None:
+    """Parse one cache file into its JSON header and its entries.
+
+    ``None`` when the file cannot be read or its first line is not a
+    ``FORMAT`` header with integer key/value widths.  Entries are
+    fixed-width ``<key-hex> <value-hex>`` lines; anything else — a
+    partial trailing line, garbled bytes, wrong widths — is skipped and
+    simply decodes as a miss.
+    """
+    try:
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        head = json.loads(lines[0].decode("utf-8"))
+        key_hex = 2 * int(head["key_bytes"])
+        value_hex = 2 * int(head["value_bytes"])
+    except (OSError, ValueError, KeyError, TypeError, UnicodeDecodeError):
+        return None
+    if head.get("format") != FORMAT:
+        return None
+    table: dict[bytes, bytes] = {}
+    for line in lines[1:]:
+        if len(line) != key_hex + 1 + value_hex or line[key_hex] != 0x20:
+            continue
+        try:
+            key = binascii.unhexlify(line[:key_hex])
+            value = binascii.unhexlify(line[key_hex + 1 :])
+        except (binascii.Error, ValueError):
+            continue
+        table[key] = value
+    return head, table
+
+
+def _row_bytes(rows: np.ndarray) -> list[bytes]:
+    """Each row of a contiguous 2-D array as one ``bytes`` object."""
+    return rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel().tolist()
 
 
 def summarize_cache_dir(directory: str | os.PathLike) -> dict[str, int]:
@@ -173,68 +213,30 @@ class SyndromeCache:
             or (name.startswith(f"{stem}.w") and name.endswith(".cache"))
         ]
 
-    def _header(self) -> str:
-        return json.dumps(
-            {
-                "format": FORMAT,
-                "dem": self.dem_key,
-                "namespace": self.namespace,
-                "key_bytes": self.key_bytes,
-                "value_bytes": self.value_bytes,
-            },
-            sort_keys=True,
-        )
-
-    def _header_matches(self, line: str) -> bool:
-        try:
-            head = json.loads(line)
-        except json.JSONDecodeError:
-            return False
-        return (
-            isinstance(head, dict)
-            and head.get("format") == FORMAT
-            and head.get("dem") == self.dem_key
-            and head.get("namespace") == self.namespace
-            and head.get("key_bytes") == self.key_bytes
-            and head.get("value_bytes") == self.value_bytes
-        )
+    def _header_fields(self) -> dict:
+        return {
+            "format": FORMAT,
+            "dem": self.dem_key,
+            "namespace": self.namespace,
+            "key_bytes": self.key_bytes,
+            "value_bytes": self.value_bytes,
+        }
 
     def _load_file(self, path: str, own: bool) -> None:
         """Merge one cache file; ``own`` gates the read-only degrade."""
-        try:
-            with open(path, "rb") as fh:
-                lines = fh.read().split(b"\n")
-        except OSError:
+        parsed = _read_cache_file(path)
+        if parsed is None or any(
+            parsed[0].get(k) != v for k, v in self._header_fields().items()
+        ):
+            # Unreadable, or not a cache we understand (truncated
+            # header, other format, parameter drift).  Our own file:
+            # serve misses, never write here.  Someone else's shard:
+            # just skip it — their corruption must not poison our warm
+            # start.
             if own:
                 self._read_only = True
             return
-        try:
-            header = lines[0].decode("utf-8") if lines else ""
-        except UnicodeDecodeError:
-            header = ""
-        if not self._header_matches(header.strip()):
-            # Not a cache we understand (truncated header, other format,
-            # parameter drift).  Our own file: serve misses, never write
-            # here.  Someone else's shard: just skip it — their
-            # corruption must not poison our warm start.
-            if own:
-                self._read_only = True
-            return
-        key_hex = 2 * self.key_bytes
-        value_hex = 2 * self.value_bytes
-        table = self._table
-        for line in lines[1:]:
-            # Fixed-width "<key-hex> <value-hex>": anything else —
-            # partial trailing line, garbled bytes, wrong widths — is
-            # skipped and simply decodes as a miss.
-            if len(line) != key_hex + 1 + value_hex or line[key_hex] != 0x20:
-                continue
-            try:
-                key = binascii.unhexlify(line[:key_hex])
-                value = binascii.unhexlify(line[key_hex + 1 :])
-            except (binascii.Error, ValueError):
-                continue
-            table[key] = value
+        self._table.update(parsed[1])
 
     def _load(self) -> None:
         """Merge the base file and every writer shard of this cache.
@@ -265,7 +267,8 @@ class SyndromeCache:
         try:
             with open(path, "a+b") as fh:
                 if fh.tell() == 0:
-                    fh.write((self._header() + "\n").encode("utf-8"))
+                    header = json.dumps(self._header_fields(), sort_keys=True)
+                    fh.write((header + "\n").encode("utf-8"))
                 else:
                     # Terminate an orphan partial line from a killed
                     # writer so the loader drops exactly that orphan,
@@ -299,24 +302,16 @@ class SyndromeCache:
         table = self._table
         nhits = 0
         if table and g:
-            # One tobytes + slicing beats a per-row ndarray.tobytes, and
-            # joining the matched values amortizes the frombuffer cost —
-            # this path runs once per chunk on every unique syndrome.
-            raw = keys.tobytes()
-            rb = keys.shape[1] * 8
-            rows: list[int] = []
-            found: list[bytes] = []
-            for i in range(g):
-                cached = table.get(raw[i * rb : (i + 1) * rb])
-                if cached is not None:
-                    rows.append(i)
-                    found.append(cached)
-            if rows:
-                values[rows] = np.frombuffer(
-                    b"".join(found), dtype=np.uint8
-                ).reshape(len(rows), self.value_bytes)
-                hit_mask[rows] = True
-                nhits = len(rows)
+            # Every step iterates in C (row bytes, membership, gather,
+            # join): this runs on every unique syndrome of every decode
+            # call, the streaming decoder's per-commit path included.
+            rows = _row_bytes(keys)
+            hit_mask = np.fromiter(map(table.__contains__, rows), bool, count=g)
+            hits = list(compress(rows, hit_mask.tolist()))
+            nhits = len(hits)
+            if nhits:
+                found = np.frombuffer(b"".join(map(table.__getitem__, hits)), np.uint8)
+                values[hit_mask] = found.reshape(nhits, self.value_bytes)
         self.hits += nhits
         self.misses += g - nhits
         _HITS.add(nhits)
@@ -333,16 +328,14 @@ class SyndromeCache:
                 f"expected values of shape {(keys.shape[0], self.value_bytes)}, "
                 f"got {values.shape}"
             )
-        fresh: list[tuple[bytes, bytes]] = []
-        for i in range(keys.shape[0]):
-            key = keys[i].tobytes()
-            if key in self._table:
-                continue
-            value = values[i].tobytes()
-            self._table[key] = value
-            fresh.append((key, value))
+        fresh = {
+            key: value
+            for key, value in zip(_row_bytes(keys), _row_bytes(values))
+            if key not in self._table
+        }
+        self._table.update(fresh)
         _INSERTS.add(len(fresh))
-        self._append(fresh)
+        self._append(list(fresh.items()))
 
     @property
     def stats(self) -> dict[str, int]:
@@ -362,10 +355,14 @@ class SyndromeCache:
         directory: str | os.PathLike | None,
         writer_tag: str | None = None,
     ) -> "SyndromeCache":
-        """The cache a decoder addresses: DEM fingerprint + its namespace."""
+        """The cache a decoder addresses: DEM fingerprint + its namespace.
+
+        An in-memory cache (``directory=None``) names no file, so it
+        skips fingerprinting the DEM.
+        """
         return cls(
             directory=directory,
-            dem_key=decoder.dem.fingerprint(),
+            dem_key="" if directory is None else decoder.dem.fingerprint(),
             namespace=decoder.cache_namespace,
             key_bytes=decoder.cache_key_words * 8,
             value_bytes=decoder.cache_value_bytes,
@@ -403,42 +400,19 @@ def compact_cache_dir(directory: str | os.PathLike) -> dict[str, int]:
         writer_shards = [p for p in paths if ".w" in os.path.basename(p)]
         if not writer_shards:
             continue
-        headers: list[str] = []
-        table: dict[bytes, bytes] = {}
-        ok = True
-        widths: tuple[int, int] | None = None
-        for path in paths:
-            try:
-                with open(path, "rb") as fh:
-                    lines = fh.read().split(b"\n")
-                head = json.loads(lines[0].decode("utf-8"))
-                kb, vb = int(head["key_bytes"]), int(head["value_bytes"])
-            except (OSError, ValueError, KeyError, TypeError, UnicodeDecodeError):
-                ok = False
-                break
-            if head.get("format") != FORMAT or (
-                widths is not None and widths != (kb, vb)
-            ):
-                ok = False
-                break
-            widths = (kb, vb)
-            headers.append(json.dumps(head, sort_keys=True))
-            key_hex, value_hex = 2 * kb, 2 * vb
-            for line in lines[1:]:
-                if len(line) != key_hex + 1 + value_hex or line[key_hex] != 0x20:
-                    continue
-                try:
-                    table[binascii.unhexlify(line[:key_hex])] = (
-                        binascii.unhexlify(line[key_hex + 1 :])
-                    )
-                except (binascii.Error, ValueError):
-                    continue
-        if not ok or len(set(headers)) != 1:
+        parsed = [_read_cache_file(path) for path in paths]
+        if any(p is None for p in parsed):
             continue
+        headers = {json.dumps(head, sort_keys=True) for head, _ in parsed}
+        if len(headers) != 1:
+            continue
+        table: dict[bytes, bytes] = {}
+        for _, file_entries in parsed:
+            table.update(file_entries)
         base_path = os.path.join(directory, base + ".cache")
         tmp = base_path + ".compact.tmp"
         with open(tmp, "wb") as fh:
-            fh.write((headers[0] + "\n").encode("utf-8"))
+            fh.write((headers.pop() + "\n").encode("utf-8"))
             for key in sorted(table):
                 fh.write(f"{key.hex()} {table[key].hex()}\n".encode("ascii"))
             fh.flush()

@@ -226,13 +226,10 @@ def _run_chunks_sampling_ahead(
 def compiled_decoder(
     dem: DetectorErrorModel, basis: str, decoder: str, cfg: ExecutionConfig
 ) -> Decoder:
-    """``cfg.dec`` or a new decoder, with ``cfg``'s syndrome cache
+    """``cfg.dec`` or a new decoder, with ``cfg``'s on-disk syndrome cache
     attached unless it already has one; pool workers share the handle."""
     dec = cfg.dec if cfg.dec is not None else make_decoder(dem, basis, decoder)
-    if (
-        cfg.syndrome_cache_dir is not None
-        and getattr(dec, "syndrome_cache", None) is None
-    ):
+    if cfg.syndrome_cache_dir is not None and dec.syndrome_cache.directory is None:
         dec.attach_syndrome_cache(
             SyndromeCache.for_decoder(
                 dec, cfg.syndrome_cache_dir, writer_tag=cfg.syndrome_writer_tag

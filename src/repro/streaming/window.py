@@ -20,9 +20,10 @@ construction *if* the round slicing, ordering, and reassembly are exact
 — which is precisely what the test guards.
 
 Commits go through the unchanged packed decode path, so the
-unique-syndrome dedup, the persistent syndrome cache, and the kernel
-backends all apply per commit; with one round per commit this is the
-small-batch regime the latency benches measure.
+unique-syndrome dedup, the decoder's syndrome memo (which serves
+syndromes repeated across commits), and the kernel backends all apply
+per commit; with one round per commit this is the small-batch regime
+the latency benches measure.
 """
 
 from __future__ import annotations

@@ -129,6 +129,28 @@ class TestLookupDecoder:
         # MLE is optimal; failure rate bounded by the ambiguous mass.
         assert failures.mean() < 0.05
 
+    def test_predicts_most_likely_class_not_most_likely_error(self):
+        """Syndrome [1]: the single likeliest error flips the observable
+        (0.10 * 0.93^2 = 0.087), but the no-flip class (either 0.07
+        mechanism alone, 0.117 in total) outweighs the flip class
+        (0.087), so exact MLE must predict no flip."""
+        from repro.sim.dem import DetectorErrorModel, ErrorMechanism
+
+        dem = DetectorErrorModel.from_mechanisms(
+            [
+                ErrorMechanism(prob=0.10, detectors=(0,), observables=(0,), sources=()),
+                ErrorMechanism(prob=0.07, detectors=(0,), observables=(), sources=()),
+                ErrorMechanism(prob=0.07, detectors=(0,), observables=(), sources=()),
+            ],
+            num_detectors=1,
+            num_observables=1,
+        )
+        dec = LookupDecoder(dem)
+        assert dec.decode_batch(np.array([[1]], dtype=np.uint8)).tolist() == [[0]]
+        batch = DemSampler(dem).sample_packed(64, np.random.default_rng(0))
+        got = dec.decode_batch_packed(batch).observables
+        assert not got.any()
+
     def test_too_many_errors_rejected(self, surface_dem):
         with pytest.raises(ValueError):
             LookupDecoder(surface_dem)

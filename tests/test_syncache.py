@@ -9,6 +9,8 @@ matches the dense reference (the litmus battery, extended to the
 cache-hit path).
 """
 
+import os
+
 import numpy as np
 import pytest
 from test_decoders_packed import assert_packed_matches_dense
@@ -23,10 +25,10 @@ from repro.decoders import (
     detector_subset_for_basis,
 )
 from repro.decoders.metrics import dem_for
-from repro.decoders.syncache import summarize_cache_dir
+from repro.decoders.syncache import compact_cache_dir, summarize_cache_dir
 from repro.noise import NoiseModel
 from repro.sim import DemSampler
-from repro.sim.bitbatch import unpack_shots
+from repro.sim.dem import DetectorErrorModel, ErrorMechanism
 
 
 @pytest.fixture(scope="module")
@@ -35,13 +37,14 @@ def surface_dem():
     return dem_for(code, nz_schedule(code), NoiseModel(p=3e-3), basis="z", rounds=3)
 
 
-def _cache(directory, key_bytes=8, value_bytes=2):
+def _cache(directory, key_bytes=8, value_bytes=2, writer_tag=None):
     return SyndromeCache(
         directory,
         dem_key="a" * 64,
         namespace="test:ns",
         key_bytes=key_bytes,
         value_bytes=value_bytes,
+        writer_tag=writer_tag,
     )
 
 
@@ -226,25 +229,54 @@ for _ in range(20):
 
 
 class TestDecoderBitIdentity:
-    """Litmus extension: warm-cache decodes ≡ cold ≡ dense reference."""
+    """Litmus extension: every memo state decodes ≡ the dense reference."""
 
     def _warm_vs_cold(self, dem, make_decoder, shots, tmp_path):
-        rng_seed = shots
-        cold = make_decoder()
-        cold.attach_syndrome_cache(SyndromeCache.for_decoder(cold, tmp_path))
-        assert_packed_matches_dense(dem, cold, shots, np.random.default_rng(rng_seed))
-        assert cold.syndrome_cache.stats["entries"] > 0
+        """Every memo state decodes exactly like the dense reference."""
 
-        warm = make_decoder()  # fresh decoder, no in-memory state
+        def check(dec):
+            rng = np.random.default_rng(shots)  # the same batch every time
+            assert_packed_matches_dense(dem, dec, shots, rng)
+
+        # Cold: the default in-memory memo fills up.
+        dec = make_decoder()
+        check(dec)
+        memo = dec.syndrome_cache
+        assert memo.directory is None
+        filled = memo.stats["entries"]
+        assert filled > 0
+
+        # Repeat call: every syndrome is a memo hit.
+        misses = memo.stats["misses"]
+        check(dec)
+        assert memo.stats["misses"] == misses
+        assert memo.stats["entries"] == filled
+
+        # An on-disk cache attached after in-memory hits replaces the
+        # memo, so the next decode writes every syndrome to disk.
+        dec.attach_syndrome_cache(SyndromeCache.for_decoder(dec, tmp_path))
+        check(dec)
+        disk = dec.syndrome_cache
+        assert disk is not memo and disk.stats["entries"] == filled
+
+        # Warm: a fresh decoder serves everything from disk.
+        warm = make_decoder()
         warm.attach_syndrome_cache(SyndromeCache.for_decoder(warm, tmp_path))
-        assert warm.syndrome_cache.loaded == cold.syndrome_cache.stats["entries"]
-        assert_packed_matches_dense(dem, warm, shots, np.random.default_rng(rng_seed))
+        assert warm.syndrome_cache.loaded == filled
+        check(warm)
         assert warm.syndrome_cache.stats["misses"] == 0
 
-        batch = DemSampler(dem).sample_packed(shots, np.random.default_rng(rng_seed))
-        got_cold = cold.decode_batch_packed(batch).observables
-        got_warm = warm.decode_batch_packed(batch).observables
-        assert np.array_equal(got_cold, got_warm)
+        # Corrupted: every stored value garbled (not valid hex) loads as
+        # nothing, and the decode recomputes.
+        with open(disk.path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        damaged = [lines[0]] + [line.split(" ")[0] + " zz" for line in lines[1:]]
+        with open(disk.path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(damaged) + "\n")
+        fresh = make_decoder()
+        fresh.attach_syndrome_cache(SyndromeCache.for_decoder(fresh, tmp_path))
+        assert fresh.syndrome_cache.loaded == 0
+        check(fresh)
 
     @pytest.mark.parametrize("shots", [65, 1000])
     def test_matching_warm_equals_cold(self, surface_dem, shots, tmp_path):
@@ -278,30 +310,6 @@ class TestDecoderBitIdentity:
         dem = extract_dem(c)
         self._warm_vs_cold(dem, lambda: LookupDecoder(dem), 200, tmp_path)
 
-    def test_corrupted_cache_never_wrong_correction(self, surface_dem, tmp_path):
-        """Damage every stored entry; the decode must recompute and
-        still match the dense reference exactly."""
-        dec = BpOsdDecoder(surface_dem)
-        dec.attach_syndrome_cache(SyndromeCache.for_decoder(dec, tmp_path))
-        assert_packed_matches_dense(
-            surface_dem, dec, 500, np.random.default_rng(0)
-        )
-        path = dec.syndrome_cache.path
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        # Garble every entry's value column (not valid hex).
-        damaged = [lines[0]] + [
-            line.split(" ")[0] + " zz" for line in lines[1:]
-        ]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(damaged) + "\n")
-        fresh = BpOsdDecoder(surface_dem)
-        fresh.attach_syndrome_cache(SyndromeCache.for_decoder(fresh, tmp_path))
-        assert fresh.syndrome_cache.loaded == 0  # all damaged → misses
-        assert_packed_matches_dense(
-            surface_dem, fresh, 500, np.random.default_rng(0)
-        )
-
     def test_namespaces_address_distinct_files(self, surface_dem, tmp_path):
         """Decoder parameters that change output must not share a file."""
         subset = detector_subset_for_basis(surface_dem, "z")
@@ -314,20 +322,107 @@ class TestDecoderBitIdentity:
             paths.add(dec.syndrome_cache.path)
         assert len(paths) == 3
 
-    def test_base_path_roundtrips_observable_bits(self, surface_dem, tmp_path):
-        """The generic Decoder cache path (used by lookup/bposd) packs
-        and unpacks observable rows losslessly, including tail bits."""
-        dec = BpOsdDecoder(surface_dem)
+    def test_matching_stores_one_flip_byte(self, surface_dem, tmp_path):
+        """Matching's on-disk value is its predicted flip as one byte."""
+        dec = MatchingDecoder(surface_dem, detector_subset_for_basis(surface_dem, "z"))
         dec.attach_syndrome_cache(SyndromeCache.for_decoder(dec, tmp_path))
-        batch = DemSampler(surface_dem).sample_packed(
-            300, np.random.default_rng(11)
+        batch = DemSampler(surface_dem).sample_packed(2000, np.random.default_rng(5))
+        dec.decode_batch_packed(batch)
+        entries = _entries(dec.syndrome_cache.path)
+        assert set(entries.values()) == {"00", "01"}
+        raw = bytes.fromhex("".join(entries))
+        keys = np.frombuffer(raw, dtype=np.uint64).reshape(len(entries), -1)
+        flips = dec._decode_unique_keys(keys, len(dec.subset))
+        assert [f"{f:02x}" for f in flips] == list(entries.values())
+
+    def test_base_path_stores_little_endian_packbits(self, tmp_path):
+        """The base path stores ``packbits(observable row, "little")``:
+        observables 0 and 9 of ten are bytes ``01 02``."""
+        dem = _dem(2, 10, (0.1, (0,), (0, 9)), (0.1, (1,), (3,)))
+        dec = LookupDecoder(dem)
+        dec.attach_syndrome_cache(SyndromeCache.for_decoder(dec, tmp_path))
+        batch = DemSampler(dem).sample_packed(2000, np.random.default_rng(5))
+        dec.decode_batch_packed(batch)
+        # Keys are the packed syndrome word, little-endian uint64 bytes.
+        assert _entries(dec.syndrome_cache.path) == {
+            "0000000000000000": "0000",
+            "0100000000000000": "0102",
+            "0200000000000000": "0800",
+            "0300000000000000": "0902",
+        }
+
+    def test_decoding_fills_the_one_memo(self, surface_dem, monkeypatch):
+        """``syndrome_cache`` is each decoder's only memo: decoding
+        fills it, no other dict-valued attribute grows, and the
+        in-memory memo never fingerprints the DEM."""
+
+        def no_fingerprint(dem):
+            raise AssertionError("the in-memory memo fingerprinted the DEM")
+
+        def dict_sizes(dec):
+            return {k: len(v) for k, v in vars(dec).items() if isinstance(v, dict)}
+
+        subset = detector_subset_for_basis(surface_dem, "z")
+        decoders = (
+            MatchingDecoder(surface_dem, subset),
+            BpOsdDecoder(surface_dem),
+            LookupDecoder(_dem(1, 1, (0.1, (0,), (0,)))),
         )
-        want = dec.decode_batch(batch.detectors_dense())
-        warm = BpOsdDecoder(surface_dem)
-        warm.attach_syndrome_cache(SyndromeCache.for_decoder(warm, tmp_path))
-        dec.decode_batch_packed(batch)  # populate
-        got = unpack_shots(warm.decode_batch_packed(batch).observables, 300)
-        assert np.array_equal(got, want)
+        monkeypatch.setattr(DetectorErrorModel, "fingerprint", no_fingerprint)
+        for dec in decoders:
+            before = dict_sizes(dec)
+            batch = DemSampler(dec.dem).sample_packed(300, np.random.default_rng(2))
+            dec.decode_batch_packed(batch)
+            dec.decode_batch(batch.detectors_dense())
+            assert len(dec.syndrome_cache) > 0
+            assert dict_sizes(dec) == before
+            assert [k for k in vars(dec) if "cache" in k] == ["_syndrome_cache"]
+
+
+def _dem(num_detectors, num_observables, *mechanisms):
+    """A hand-built DEM from ``(prob, detectors, observables)`` triples."""
+    return DetectorErrorModel.from_mechanisms(
+        [ErrorMechanism(p, d, o, sources=()) for p, d, o in mechanisms],
+        num_detectors=num_detectors,
+        num_observables=num_observables,
+    )
+
+
+def _entries(path) -> dict[str, str]:
+    """A cache file's ``key-hex -> value-hex`` entries, header dropped."""
+    with open(path, encoding="utf-8") as fh:
+        return dict(line.split(" ") for line in fh.read().splitlines()[1:])
+
+
+class TestCompactCacheDir:
+    def test_merges_shards_and_skips_malformed_lines(self, tmp_path):
+        base = _cache(tmp_path)
+        base.insert(_keys(2, seed=1), np.ones((2, 2), dtype=np.uint8))
+        shard = _cache(tmp_path, writer_tag="w1")
+        shard.insert(_keys(3, seed=2), np.full((3, 2), 2, dtype=np.uint8))
+        with open(shard.path, "a", encoding="utf-8") as fh:
+            fh.write("00112233 zz\n0011223344556677 ab")  # malformed lines
+        assert compact_cache_dir(tmp_path) == {"files": 1, "absorbed": 1, "entries": 5}
+        assert not os.path.exists(shard.path)
+        reopened = _cache(tmp_path)
+        assert reopened.loaded == 5 and not reopened._read_only
+        assert list(_entries(base.path)) == sorted(_entries(base.path))
+
+    @pytest.mark.parametrize("bad", ["mismatched", "unreadable"])
+    def test_leaves_bad_header_groups_untouched(self, tmp_path, bad):
+        base = _cache(tmp_path)
+        base.insert(_keys(2, seed=1), np.ones((2, 2), dtype=np.uint8))
+        shard = tmp_path / _name(base).replace(".cache", ".w1.cache")
+        if bad == "mismatched":
+            # Same file stem, other value width.
+            clash = _cache(tmp_path, value_bytes=4, writer_tag="1")
+            clash.insert(_keys(1, seed=2), np.ones((1, 4), dtype=np.uint8))
+            assert clash.path == str(shard)
+        else:
+            shard.write_bytes(b"\xff not a header\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert compact_cache_dir(tmp_path)["files"] == 0
+        assert before == {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
 
 def test_summarize_cache_dir(tmp_path):
