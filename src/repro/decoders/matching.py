@@ -5,10 +5,12 @@ detectors of a given stabilizer type.  Decoding reduces to minimum-weight
 perfect matching of the flipped detectors on that graph (with a boundary
 node absorbing odd defects).
 
-Implementation: all-pairs shortest paths (scipy's C Dijkstra) on the
-weighted decoding graph with edge weight ``-log p``; per shot, the
-flipped detectors (plus a boundary that absorbs odd defects) are matched
-at minimum weight.  Small defect sets — the overwhelming majority at
+Implementation: the decoding graph (edge weight ``log((1 - p) / p)``)
+is compiled from the DEM arrays in one pass; all-pairs shortest paths
+come from scipy's C Dijkstra and their observable parities from its
+predecessor matrix by pointer doubling.  Per shot, the flipped
+detectors (plus a boundary that absorbs odd defects) are matched at
+minimum weight.  Small defect sets — the overwhelming majority at
 sub-threshold error rates — are matched by exact enumeration of every
 pairing-with-boundary (there are at most 764 for eight defects), either
 scalar per syndrome or vectorized over whole groups of deduplicated
@@ -130,10 +132,8 @@ class MatchingDecoder(Decoder):
         super().__init__(dem)
         self.observable = observable
         if detector_subset is None:
-            detector_subset = list(range(dem.num_detectors))
-        self.subset = list(detector_subset)
-        self.local_index = {d: i for i, d in enumerate(self.subset)}
-        self._subset_rows = np.asarray(self.subset, dtype=np.int64)
+            detector_subset = range(dem.num_detectors)
+        self.subset = np.asarray(detector_subset, dtype=np.int64)
         self._build_graph()
 
     # -- persistent syndrome cache addressing ----------------------------------
@@ -145,7 +145,7 @@ class MatchingDecoder(Decoder):
     @property
     def cache_namespace(self) -> str:
         sub = hashlib.sha256(
-            ",".join(str(d) for d in self.subset).encode()
+            ",".join(map(str, self.subset.tolist())).encode()
         ).hexdigest()[:12]
         return f"matching:obs{self.observable}:sub{sub}"
 
@@ -158,66 +158,54 @@ class MatchingDecoder(Decoder):
         return 1
 
     def _build_graph(self) -> None:
-        """Project mechanisms onto the subset and build the weighted graph."""
-        nlocal = len(self.subset)
-        boundary = nlocal  # extra node index
-        # Keep the best (lowest-weight) edge between each node pair.
-        best: dict[tuple[int, int], tuple[float, int]] = {}
-        dets, obs = self.dem.supports()
-        for mech_dets, mech_obs, prob in zip(dets, obs, self.dem.probs.tolist()):
-            local = sorted(
-                self.local_index[d] for d in mech_dets if d in self.local_index
-            )
-            flips_obs = int(self.observable in mech_obs)
-            if not local:
-                continue
-            if len(local) == 1:
-                u, v = local[0], boundary
-            elif len(local) == 2:
-                u, v = local
-            else:
-                raise ValueError(
-                    f"mechanism flips {len(local)} same-type detectors; "
-                    "DEM is not graph-like — use BpOsdDecoder instead"
-                )
-            p = min(max(prob, 1e-15), 0.5 - 1e-12)
-            weight = math.log((1 - p) / p)
-            key = (u, v)
-            if key not in best or weight < best[key][0]:
-                best[key] = (weight, flips_obs)
+        """Compile the graph, ``dist`` and ``parity`` from the DEM arrays.
 
-        rows, cols, weights = [], [], []
-        self.edge_obs: dict[tuple[int, int], int] = {}
-        for (u, v), (w, fo) in best.items():
-            rows.append(u)
-            cols.append(v)
-            weights.append(w)
-            self.edge_obs[(u, v)] = fo
-            self.edge_obs[(v, u)] = fo
-        n_nodes = nlocal + 1
-        graph = sparse.csr_matrix(
-            (weights, (rows, cols)), shape=(n_nodes, n_nodes)
+        Parallel edges keep the first mechanism of minimum weight.  Weights
+        come from ``math.log``: ``np.log`` is off by an ulp on some inputs,
+        which can flip a tie in ``dist``.
+        """
+        dem, nsub = self.dem, len(self.subset)
+        self.boundary, n_nodes = nsub, nsub + 1
+        dense = unpack_rows(dem.signatures, dem.num_detectors + dem.num_observables)
+        bits = dense[:, self.subset]
+        counts = bits.sum(axis=1, dtype=np.int64)
+        if (counts > 2).any():
+            raise ValueError(
+                f"mechanism flips {counts[counts > 2][0]} same-type detectors; "
+                "DEM is not graph-like — use BpOsdDecoder instead"
+            )
+        # A mechanism's edge joins its one or two subset columns (ascending),
+        # the boundary standing in for a missing second.
+        touched = np.flatnonzero(counts)
+        c, cols = counts[touched], np.nonzero(bits)[1]
+        last = np.cumsum(c) - 1
+        u, v = cols[last - c + 1], np.where(c == 2, cols[last], nsub)
+        flips = np.zeros_like(c)
+        if self.observable < dem.num_observables:
+            flips = dense[touched, dem.num_detectors + self.observable]
+        p = np.clip(dem.probs[touched], 1e-15, 0.5 - 1e-12)
+        weight = np.fromiter(map(math.log, ((1 - p) / p).tolist()), float, c.size)
+        pair = u * n_nodes + v
+        order = np.lexsort((weight, pair))  # stable: ties keep mechanism order
+        keep = order[np.diff(pair[order], prepend=-1) != 0]
+        u, v, weight = u[keep], v[keep], weight[keep]
+        self.graph = sparse.csr_matrix(
+            (np.r_[weight, weight], (np.r_[u, v], np.r_[v, u])), shape=(n_nodes,) * 2
         )
-        graph = graph.maximum(graph.T)
-        dist, predecessors = csgraph.dijkstra(
-            graph, directed=False, return_predecessors=True
+        edge_parity = np.zeros((n_nodes, n_nodes), dtype=np.uint8)
+        edge_parity[u, v] = edge_parity[v, u] = flips[keep]
+        self.dist, pred = csgraph.dijkstra(
+            self.graph, directed=False, return_predecessors=True
         )
-        self.dist = dist
-        self.n_nodes = n_nodes
-        self.boundary = boundary
-        # Parity of observable flips along every shortest path, via the
-        # predecessor tree of each source.
-        parity = np.zeros((n_nodes, n_nodes), dtype=np.uint8)
-        for src in range(n_nodes):
-            order = np.argsort(dist[src])
-            for node in order:
-                pred = predecessors[src, node]
-                if pred < 0 or not np.isfinite(dist[src, node]):
-                    continue
-                parity[src, node] = parity[src, pred] ^ self.edge_obs.get(
-                    (int(pred), int(node)), 0
-                )
-        self.parity = parity
+        # Pointer doubling: ``anc[s, n]`` is an ancestor of ``n`` on the
+        # shortest-path tree from ``s`` and ``parity[s, n]`` the parity
+        # between them.  Roots point at themselves with parity 0.
+        nodes = np.arange(n_nodes)
+        anc = np.where(pred < 0, nodes, pred)
+        self.parity = edge_parity[anc, nodes]
+        for _ in range((n_nodes - 1).bit_length() + 1):
+            self.parity ^= np.take_along_axis(self.parity, anc, axis=1)
+            anc = np.take_along_axis(anc, anc, axis=1)
 
     # -- decoding ------------------------------------------------------------
 
@@ -352,7 +340,7 @@ class MatchingDecoder(Decoder):
         observables = np.zeros((num_obs, num_shot_words(shots)), dtype=np.uint64)
         if shots == 0 or num_obs == 0:
             return BitSampleBatch(batch.detectors, observables, shots)
-        sub_rows = batch.detectors[self._subset_rows]
+        sub_rows = batch.detectors[self.subset]
         unique, inverse = unique_shot_words(shot_words(sub_rows, shots))
         flips = self._decode_unique_cached(unique, 1)
         observables[self.observable] = scatter_unique(flips, inverse)[0]
@@ -400,14 +388,17 @@ class MatchingDecoder(Decoder):
 
 def detector_subset_for_basis(
     dem: DetectorErrorModel, basis: str
-) -> list[int]:
+) -> list[int] | None:
     """Detectors whose label kind matches the memory basis.
 
     Builder detector labels are ``(round, kind, stab)``; a Z-basis memory
-    decodes X errors on the Z-type (kind == "z") detector graph.
+    decodes X errors on the Z-type (kind == "z") detector graph.  A DEM
+    with no such label (say, one extracted from a hand-written circuit)
+    gives ``None``: match on every detector.
     """
+    labels = dem.detector_labels
+    if not any(len(label) == 3 for label in labels):
+        return None
     return [
-        i
-        for i, label in enumerate(dem.detector_labels)
-        if len(label) == 3 and label[1] == basis
+        i for i, label in enumerate(labels) if len(label) == 3 and label[1] == basis
     ]

@@ -25,10 +25,11 @@ for millions of tiny records: one JSON header line (self-describing,
 validated on load), then one ``<syndrome-hex> <value-hex>`` entry per
 line.  Loading skips anything malformed — wrong length, bad hex, a
 partial trailing line from a killed writer — so corruption degrades to
-a cache *miss*, never a wrong correction.  Appending terminates any
-orphan partial line first (the ResultStore idiom), which keeps the file
-loadable under interleaved cross-process writers; duplicate entries are
-harmless because decoding is deterministic, so last-write-wins equals
+a cache *miss*, never a wrong correction.  A new file appears whole,
+header included.  Appending terminates any orphan partial line first
+(the ResultStore idiom), which keeps the file loadable under
+interleaved cross-process writers; duplicate entries are harmless
+because decoding is deterministic, so last-write-wins equals
 first-write-wins.
 """
 
@@ -247,14 +248,8 @@ class SyndromeCache:
         target can flip the cache read-only — a foreign or corrupt
         sibling degrades to fewer preloaded entries, never to silence.
         """
-        own = self.path
-        if own is None:
-            return
-        if os.path.exists(own):
-            self._load_file(own, own=True)
         for path in self._sibling_paths():
-            if path != own:
-                self._load_file(path, own=False)
+            self._load_file(path, own=path == self.path)
         self.loaded = len(self._table)
 
     def _append(self, entries: list[tuple[bytes, bytes]]) -> None:
@@ -265,17 +260,28 @@ class SyndromeCache:
             f"{key.hex()} {value.hex()}\n" for key, value in entries
         ).encode("ascii")
         try:
-            with open(path, "a+b") as fh:
-                if fh.tell() == 0:
+            if not os.path.exists(path):
+                # Publish the file whole, header and first entries, so no
+                # handle ever opens it headerless (the lease idiom).
+                tmp = f"{path}.{os.getpid()}.{id(self)}.tmp"
+                with open(tmp, "wb") as fh:
                     header = json.dumps(self._header_fields(), sort_keys=True)
-                    fh.write((header + "\n").encode("utf-8"))
-                else:
-                    # Terminate an orphan partial line from a killed
-                    # writer so the loader drops exactly that orphan,
-                    # not our first entry concatenated onto it.
-                    fh.seek(-1, os.SEEK_END)
-                    if fh.read(1) != b"\n":
-                        fh.write(b"\n")
+                    fh.write((header + "\n").encode("utf-8") + payload)
+                try:
+                    os.link(tmp, path)
+                    return
+                except FileExistsError:
+                    pass  # another writer published first: append to its file
+                finally:
+                    os.remove(tmp)
+            with open(path, "a+b") as fh:
+                # Terminate an orphan partial line from a killed writer
+                # so the loader drops exactly that orphan, not our first
+                # entry concatenated onto it.  An empty file is not ours:
+                # the seek fails and the handle goes read-only.
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    fh.write(b"\n")
                 fh.write(payload)
                 fh.flush()
         except OSError:

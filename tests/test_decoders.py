@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import coloration_schedule, nz_schedule
+from repro.circuits.text import circuit_from_text
 from repro.codes import load_benchmark_code, rotated_surface_code
 from repro.decoders import (
     BpOsdDecoder,
@@ -66,6 +67,36 @@ class TestMatchingDecoder:
     def test_rejects_non_graphlike(self, lp_dem):
         with pytest.raises(ValueError):
             MatchingDecoder(lp_dem, detector_subset_for_basis(lp_dem, "z"))
+
+    def test_auto_decoding_matches_every_detector_of_an_unlabeled_dem(self):
+        """A DEM extracted from a hand-written circuit carries no builder
+        labels, so there is no basis subset: auto decoding matches on
+        every detector instead of on none."""
+        circuit = circuit_from_text(
+            """
+            R 0 1 2 3 4 5 6 7 8
+            DEPOLARIZE1(0.06) 0 1 2 3 4
+            CNOT 0 5 1 5 1 6 2 6 2 7 3 7 3 8 4 8
+            M 5 6 7 8
+            DETECTOR 0
+            DETECTOR 1
+            DETECTOR 2
+            DETECTOR 3
+            M 0 1 2 3 4
+            DETECTOR 0 4 5
+            DETECTOR 1 5 6
+            DETECTOR 2 6 7
+            DETECTOR 3 7 8
+            OBSERVABLE_INCLUDE(0) 4
+            """
+        )
+        dem = extract_dem(circuit)
+        batch = DemSampler(dem).sample(2000, np.random.default_rng(5))
+        auto = make_decoder(dem, "z")
+        assert isinstance(auto, MatchingDecoder)
+        reference = MatchingDecoder(dem).decode_batch(batch.detectors)
+        assert reference.any()
+        np.testing.assert_array_equal(auto.decode_batch(batch.detectors), reference)
 
 
 class TestBpOsd:

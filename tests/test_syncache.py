@@ -25,6 +25,7 @@ from repro.decoders import (
     detector_subset_for_basis,
 )
 from repro.decoders.metrics import dem_for
+from repro.decoders import syncache
 from repro.decoders.syncache import compact_cache_dir, summarize_cache_dir
 from repro.noise import NoiseModel
 from repro.sim import DemSampler
@@ -196,6 +197,25 @@ class TestConcurrentWriters:
         for keys, fill in ((keys_a, 1), (keys_b, 2), (_keys(1, seed=3), 3)):
             got, hit = reopened.lookup(keys)
             assert hit.all() and (got == fill).all()
+
+    def test_handle_opened_while_first_writer_publishes(self, tmp_path, monkeypatch):
+        """A second handle opened while the first writer is creating
+        the file never sees it headerless, so both writers persist."""
+        handles = []
+        real_dumps = syncache.json.dumps
+
+        def dumps_then_open_second(*args, **kwargs):
+            if len(handles) == 1:
+                handles.append(_cache(tmp_path))
+            return real_dumps(*args, **kwargs)
+
+        monkeypatch.setattr(syncache.json, "dumps", dumps_then_open_second)
+        handles.append(_cache(tmp_path))
+        handles[0].insert(_keys(3, seed=1), np.full((3, 2), 1, dtype=np.uint8))
+        assert len(handles) == 2
+        handles[1].insert(_keys(3, seed=2), np.full((3, 2), 2, dtype=np.uint8))
+        assert len(_cache(tmp_path)) == 6
+        assert os.listdir(tmp_path) == [_name(handles[0])]
 
     def test_cross_process_writers(self, tmp_path):
         """Two real processes interleaving inserts keep the file
