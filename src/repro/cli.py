@@ -220,10 +220,15 @@ def cmd_campaign_run(args) -> int:
     )
     _print_syndrome_cache_status(store.path)
     if args.smoke:
-        # The CI resume check: a second invocation of a completed
-        # campaign must be pure store hits — zero sampling or decoding.
-        # Reopened from disk, so the JSONL write/reload round trip is
-        # part of what the gate verifies.
+        # The CI resume check: after compaction, a second invocation of
+        # the completed campaign must be pure store hits — zero sampling
+        # or decoding.  Reopened from disk, so the JSONL write, compact
+        # and reload round trip is part of what the gate verifies.
+        summary = store.compact()
+        print(
+            f"compacted: {summary['records']} records in "
+            f"{summary['shards']} shards"
+        )
         resumed = run_campaign(spec, store=ResultStore(args.store), config=execution)
         if resumed.executed:
             print(
@@ -259,8 +264,6 @@ def _print_service_status(store) -> None:
 
     from .experiments import service
 
-    layout = "sharded" if store.sharded else "legacy single-file"
-    print(f"store layout: {layout}")
     if store.path is None:
         return
     entries = None

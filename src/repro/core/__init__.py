@@ -1,6 +1,6 @@
 """PropHunt: ambiguity-driven SM-circuit optimization."""
 
-from .ambiguity import find_ambiguous_subgraph, is_ambiguous, sample_ambiguous_subgraphs
+from .ambiguity import find_ambiguous_subgraph, is_ambiguous
 from .changes import CandidateChange, enumerate_candidates
 from .decoding_graph import DecodingGraph, Subgraph
 from .minweight import (
@@ -13,14 +13,12 @@ from .optimizer import (
     PropHunt,
     PropHuntConfig,
     PropHuntResult,
-    optimize_schedule,
 )
 from .pruning import PruneOutcome, check_candidate
 
 __all__ = [
     "find_ambiguous_subgraph",
     "is_ambiguous",
-    "sample_ambiguous_subgraphs",
     "CandidateChange",
     "enumerate_candidates",
     "DecodingGraph",
@@ -32,7 +30,6 @@ __all__ = [
     "PropHunt",
     "PropHuntConfig",
     "PropHuntResult",
-    "optimize_schedule",
     "PruneOutcome",
     "check_candidate",
 ]

@@ -69,21 +69,3 @@ def find_ambiguous_subgraph(
         explicit.add(pick)
         det_set.update(graph.error_dets[pick])
 
-
-def sample_ambiguous_subgraphs(
-    graph: DecodingGraph,
-    samples: int,
-    rng: np.random.Generator,
-    max_errors: int = 60,
-) -> list[Subgraph]:
-    """Draw ``samples`` independent expansions; keep the ambiguous ones.
-
-    The paper parallelizes this across cores; sequential sampling is
-    statistically identical.
-    """
-    found = []
-    for _ in range(samples):
-        sub = find_ambiguous_subgraph(graph, rng, max_errors=max_errors)
-        if sub is not None:
-            found.append(sub)
-    return found

@@ -262,11 +262,3 @@ class PropHunt:
             history=history,
         )
 
-
-def optimize_schedule(
-    code: CSSCode,
-    schedule: Schedule,
-    config: PropHuntConfig | None = None,
-) -> PropHuntResult:
-    """One-call convenience wrapper around :class:`PropHunt`."""
-    return PropHunt(code, config).optimize(schedule)

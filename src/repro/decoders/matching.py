@@ -41,7 +41,7 @@ from ..sim.bitbatch import (
     unique_shot_words,
 )
 from ..sim.dem import DetectorErrorModel
-from .base import Decoder
+from .base import _DECODE_SHOTS, _DECODE_UNIQUE, Decoder
 
 _BOUNDARY = -1
 
@@ -342,6 +342,8 @@ class MatchingDecoder(Decoder):
             return BitSampleBatch(batch.detectors, observables, shots)
         sub_rows = batch.detectors[self.subset]
         unique, inverse = unique_shot_words(shot_words(sub_rows, shots))
+        _DECODE_SHOTS.add(shots)
+        _DECODE_UNIQUE.add(unique.shape[0])
         flips = self._decode_unique_cached(unique, 1)
         observables[self.observable] = scatter_unique(flips, inverse)[0]
         return BitSampleBatch(batch.detectors, observables, shots)

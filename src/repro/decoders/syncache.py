@@ -52,8 +52,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 FORMAT = "syndrome-cache-v1"
 
-# Fleet-visible instruments (per-instance .stats stay authoritative for
-# a single handle; these aggregate every cache in the process).
+# Every cache in the process counts here; ``len(cache)`` is one
+# handle's entry count.
 _HITS = obs.counter("syncache.hits")
 _MISSES = obs.counter("syncache.misses")
 _INSERTS = obs.counter("syncache.inserts")
@@ -180,9 +180,6 @@ class SyndromeCache:
         # overwriting a file we cannot parse could destroy someone
         # else's data.
         self._read_only = False
-        self.hits = 0
-        self.misses = 0
-        self.loaded = 0
         if self.directory is not None:
             os.makedirs(self.directory, exist_ok=True)
             self._load()
@@ -250,7 +247,6 @@ class SyndromeCache:
         """
         for path in self._sibling_paths():
             self._load_file(path, own=path == self.path)
-        self.loaded = len(self._table)
 
     def _append(self, entries: list[tuple[bytes, bytes]]) -> None:
         path = self.path
@@ -318,8 +314,6 @@ class SyndromeCache:
             if nhits:
                 found = np.frombuffer(b"".join(map(table.__getitem__, hits)), np.uint8)
                 values[hit_mask] = found.reshape(nhits, self.value_bytes)
-        self.hits += nhits
-        self.misses += g - nhits
         _HITS.add(nhits)
         _MISSES.add(g - nhits)
         _LOOKUP_S.record(clock.elapsed)
@@ -342,15 +336,6 @@ class SyndromeCache:
         self._table.update(fresh)
         _INSERTS.add(len(fresh))
         self._append(list(fresh.items()))
-
-    @property
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": len(self._table),
-            "loaded": self.loaded,
-        }
 
     # -- construction for a decoder -------------------------------------------
 

@@ -22,8 +22,13 @@ way (``tests/test_campaign.py``).
 
 Compilation is shared: one :class:`CompileCache` per campaign memoizes
 DEM extraction, decoder initialization, and packed samplers across the
-grid, so sweeping ten error rates against one circuit builds the
-circuit once per (noise, basis), not once per job invocation.
+grid, keyed by :func:`compile_key` over :data:`DEM_FIELDS` (the same
+key the service batches its leases by), so sweeping ten error rates
+against one circuit builds the circuit once per (noise, basis), not
+once per job invocation.  The persistent syndrome cache of an on-disk
+store is attached to the shared decoder in one place,
+:func:`~repro.experiments.shotrunner.compiled_decoder`, which every job
+passes through.
 
 The figure runners (``fig01``/``fig06``/``fig12``/``fig14lowp``/
 ``fig15``) are thin wrappers: a spec definition plus table formatting
@@ -56,7 +61,6 @@ from ..codes import BENCHMARK_CODES, load_benchmark_code, rotated_surface_code
 from ..codes.css import CSSCode
 from ..decoders.base import Decoder
 from ..decoders.metrics import dem_for, make_decoder
-from ..decoders.syncache import SyndromeCache
 from ..noise.spec import NoiseSpec, noise_display, resolve_noise
 from ..sim.dem import DetectorErrorModel
 from ..sim.sampler import DemSampler
@@ -357,10 +361,22 @@ class CampaignSpec:
 # -- shared compilation -----------------------------------------------------
 
 
+# The job fields that fix a compiled DEM.  Jobs agreeing on all seven
+# share one circuit, DEM and packed sampler, and one decoder per
+# ``decoder`` choice; the service batches its leases by the same fields
+# plus ``decoder``.
+DEM_FIELDS = ("code", "schedule", "p", "idle_strength", "noise", "rounds", "basis")
+
+
+def compile_key(payload: dict[str, Any], extra: tuple[str, ...] = ()) -> str:
+    """Canonical JSON of a job payload's ``DEM_FIELDS`` plus ``extra``."""
+    return canonical_json({f: payload.get(f) for f in DEM_FIELDS + extra})
+
+
 class CompileCache:
     """Memoized DEM extraction / decoder init / samplers across a grid.
 
-    Keys are canonical job-field tuples, so any two jobs describing the
+    Keys are :func:`compile_key` strings, so any two jobs describing the
     same circuit under the same noise share one DEM, and any two jobs
     decoding that DEM the same way share one decoder instance — the
     expensive setup runs once per (circuit, decoder) per campaign, not
@@ -371,11 +387,9 @@ class CompileCache:
     def __init__(self):
         self._codes: dict[str, CSSCode] = {}
         self._schedules: dict[tuple, Schedule] = {}
-        self._dems: dict[tuple, DetectorErrorModel] = {}
-        self._decoders: dict[tuple, Decoder] = {}
-        self._samplers: dict[tuple, DemSampler] = {}
-        self._syncaches: dict[tuple, SyndromeCache] = {}
-        self.stats = {"dem_hits": 0, "dem_misses": 0, "decoder_misses": 0}
+        self._dems: dict[str, DetectorErrorModel] = {}
+        self._decoders: dict[str, Decoder] = {}
+        self._samplers: dict[str, DemSampler] = {}
 
     def code(self, token: str) -> CSSCode:
         if token not in self._codes:
@@ -388,68 +402,29 @@ class CompileCache:
             self._schedules[key] = resolve_schedule(self.code(job.code), job.schedule)
         return self._schedules[key]
 
-    def _dem_key(self, job: CampaignJob) -> tuple:
-        return (
-            job.code,
-            canonical_json(job.schedule),
-            float(job.p),
-            float(job.idle_strength),
-            canonical_json(job.noise),
-            job.rounds,
-            job.basis,
-        )
-
     def dem(self, job: CampaignJob) -> DetectorErrorModel:
-        key = self._dem_key(job)
+        key = compile_key(job.to_payload())
         if key not in self._dems:
-            self.stats["dem_misses"] += 1
-            noise = job.effective_noise()
             self._dems[key] = dem_for(
                 self.code(job.code),
                 self.schedule(job),
-                noise,
+                job.effective_noise(),
                 basis=job.basis,
                 rounds=job.rounds,
             )
-        else:
-            self.stats["dem_hits"] += 1
         return self._dems[key]
 
     def decoder(self, job: CampaignJob) -> Decoder:
-        key = self._dem_key(job) + (job.decoder,)
+        key = compile_key(job.to_payload(), ("decoder",))
         if key not in self._decoders:
-            self.stats["decoder_misses"] += 1
             self._decoders[key] = make_decoder(self.dem(job), job.basis, job.decoder)
         return self._decoders[key]
 
     def sampler(self, job: CampaignJob) -> DemSampler:
-        key = self._dem_key(job)
+        key = compile_key(job.to_payload())
         if key not in self._samplers:
             self._samplers[key] = DemSampler(self.dem(job))
         return self._samplers[key]
-
-    def syndrome_cache(
-        self,
-        job: CampaignJob,
-        directory: str | None,
-        writer_tag: str | None = None,
-    ) -> SyndromeCache:
-        """The persistent syndrome cache a job's decoder addresses.
-
-        Memoized alongside the decoder, so every job in the grid hitting
-        the same (DEM, decoder) shares one open cache — loaded once per
-        campaign (hits and misses count in the ``syncache.*``
-        instruments).
-        ``writer_tag`` routes this process's appends to a private shard
-        file (service workers pass their worker id) so a fleet sharing
-        one cache directory never interleaves writes.
-        """
-        key = self._dem_key(job) + (job.decoder, directory, writer_tag)
-        if key not in self._syncaches:
-            self._syncaches[key] = SyndromeCache.for_decoder(
-                self.decoder(job), directory, writer_tag=writer_tag
-            )
-        return self._syncaches[key]
 
 
 # -- execution --------------------------------------------------------------
@@ -503,14 +478,6 @@ def _execute_job_inner(
 ) -> dict[str, Any]:
     dem = cache.dem(job)
     rng = np.random.default_rng(job.seed_sequence())
-    if cfg.syndrome_cache_dir is not None:
-        # Attach the campaign-shared cache to the memoized decoder; pool
-        # workers share this handle.
-        cache.decoder(job).attach_syndrome_cache(
-            cache.syndrome_cache(
-                job, cfg.syndrome_cache_dir, writer_tag=cfg.syndrome_writer_tag
-            )
-        )
     if job.estimator == "direct":
         est = run_shot_chunks(
             dem,

@@ -5,8 +5,10 @@ the same content-addressed machinery into a *service*: ``serve`` writes
 the campaign's job queue into the store directory, any number of
 ``worker`` processes (on any machine sharing the filesystem) claim
 batches of jobs via expiring lease files, execute them, and append
-results to the sharded store.  There is no coordinator process and no
-network protocol — the store directory *is* the coordination medium:
+results to the store's shard files, the one layout every
+:class:`~repro.experiments.store.ResultStore` writes.  There is no
+coordinator process and no network protocol — the store directory *is*
+the coordination medium:
 
 ``<store>/service/queue.json``
     The queue manifest: every job payload (+ display label) of the
@@ -15,7 +17,8 @@ network protocol — the store directory *is* the coordination medium:
 
 ``<store>/service/leases/<affinity>.lease``
     One lease per *affinity group* — the batch of jobs sharing a
-    compile configuration (code, schedule, noise, rate, basis, decoder).
+    compile configuration: the seven
+    :data:`~repro.experiments.campaign.DEM_FIELDS` plus the decoder.
     Claiming hard-links a fully written temp file into place (atomic
     on POSIX, and it fails if the lease exists); the payload carries
     the owner and an expiry timestamp.  A crashed worker's lease
@@ -58,11 +61,12 @@ from .campaign import (
     CampaignJob,
     CampaignSpec,
     CompileCache,
+    compile_key,
     execute_job,
     syndrome_cache_dir_for,
 )
 from .shotrunner import ExecutionConfig
-from .store import DEFAULT_SHARD_PREFIX, ResultStore, canonical_json, job_key
+from .store import ResultStore, canonical_json, job_key
 
 QUEUE_FORMAT = "campaign-queue-v1"
 LEASE_FORMAT = "campaign-lease-v1"
@@ -85,22 +89,6 @@ DEFAULT_POLL = 0.5
 # expiry.  A few seconds covers NTP-disciplined fleets; raise it for
 # hosts with free-running clocks, or set 0 for single-host tests.
 DEFAULT_SKEW_GRACE = 3.0
-
-# Job fields that determine the compiled artifacts (the CompileCache
-# `_dem_key` plus the decoder choice).  Jobs agreeing on all of these
-# share a DEM, a decoder instance, a packed sampler, and a syndrome
-# cache file — exactly what a worker wants to amortize over a batch.
-_AFFINITY_FIELDS = (
-    "code",
-    "schedule",
-    "p",
-    "idle_strength",
-    "noise",
-    "rounds",
-    "basis",
-    "decoder",
-)
-
 
 # -- queue manifest ----------------------------------------------------------
 
@@ -175,9 +163,8 @@ def read_queue(store_path: str | os.PathLike) -> list[dict[str, Any]] | None:
 
 def affinity_key(job_payload: dict[str, Any]) -> str:
     """The compile-configuration fingerprint a job batches under."""
-    basis = {f: job_payload.get(f) for f in _AFFINITY_FIELDS}
-    digest = hashlib.sha256(canonical_json(basis).encode("utf-8")).hexdigest()
-    return digest[:16]
+    key = compile_key(job_payload, ("decoder",))
+    return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
 
 
 def plan_groups(
@@ -430,9 +417,7 @@ def _worker_loop(
     report: WorkerReport,
     beat: Callable[..., None],
 ) -> WorkerReport:
-    # Workers always append sharded: a fleet's concurrent writes spread
-    # over the shard files instead of contending on one results.jsonl.
-    store = ResultStore(store_path, shard_prefix=DEFAULT_SHARD_PREFIX)
+    store = ResultStore(store_path)
     cfg = config or ExecutionConfig()
     cfg = cfg.replace(
         syndrome_cache_dir=syndrome_cache_dir_for(cfg, store_path),
@@ -616,7 +601,7 @@ def serve_campaign(
     name = spec.name if isinstance(spec, CampaignSpec) else None
     queue_file = write_queue(store_path, jobs, labels=labels, name=name)
     entries = read_queue(store_path) or []
-    store = ResultStore(store_path, shard_prefix=DEFAULT_SHARD_PREFIX)
+    store = ResultStore(store_path)
     stored = sum(1 for e in entries if e["key"] in store)
     report = ServeReport(
         store_path=store_path,

@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
@@ -227,14 +228,22 @@ def compiled_decoder(
     dem: DetectorErrorModel, basis: str, decoder: str, cfg: ExecutionConfig
 ) -> Decoder:
     """``cfg.dec`` or a new decoder, with ``cfg``'s on-disk syndrome cache
-    attached unless it already has one; pool workers share the handle."""
+    attached; pool workers share the handle.
+
+    The one place an on-disk :class:`SyndromeCache` is attached.  A
+    decoder already holding the cache ``cfg`` addresses (same directory
+    and writer tag) keeps it, so the jobs of a campaign sharing one
+    decoder load the cache once; a decoder shared across two stores
+    gets each store's cache in turn.
+    """
     dec = cfg.dec if cfg.dec is not None else make_decoder(dem, basis, decoder)
-    if cfg.syndrome_cache_dir is not None and dec.syndrome_cache.directory is None:
-        dec.attach_syndrome_cache(
-            SyndromeCache.for_decoder(
-                dec, cfg.syndrome_cache_dir, writer_tag=cfg.syndrome_writer_tag
+    if cfg.syndrome_cache_dir is not None:
+        want = (os.fspath(cfg.syndrome_cache_dir), cfg.syndrome_writer_tag)
+        memo = dec.syndrome_cache
+        if (memo.directory, memo.writer_tag) != want:
+            dec.attach_syndrome_cache(
+                SyndromeCache.for_decoder(dec, want[0], writer_tag=want[1])
             )
-        )
     return dec
 
 
@@ -275,8 +284,8 @@ def run_shot_chunks(
     :class:`~repro.decoders.syncache.SyndromeCache` (content-addressed
     by DEM fingerprint + decoder namespace) to the decoder, whose handle
     every pool worker shares, so distinct syndromes decoded by any
-    earlier chunk, job, or run are served from disk.  A decoder injected
-    with a cache already attached keeps it.
+    earlier chunk, job, or run are served from disk (see
+    :func:`compiled_decoder`).
 
     The hot path is fully packed: chunks are sampled packed and decoded
     through :meth:`~repro.decoders.base.Decoder.decode_batch_packed`

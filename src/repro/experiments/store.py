@@ -9,14 +9,14 @@ sharing a store between invocations all reduce to key lookups.
 
 On-disk layout
     Records live in append-only JSONL files inside the store directory
-    — one record per line.  A store is either *legacy* (everything in
-    one ``results.jsonl``, the pre-service format) or *sharded*
-    (``results-<prefix>.jsonl``, one shard per hex key prefix, the
-    format the worker fleet writes: concurrent writers land on
+    — one record per line, one shard file ``results-<key[0]>.jsonl``
+    per first hex character of the key.  Concurrent writers (a worker
+    fleet, or a campaign sharing its store with a second run) land on
     different shards most of the time, and two that do collide fall
-    back on the append protocol below).  Readers are layout-agnostic —
-    both file sets are always loaded — so a sharded handle on a legacy
-    store sees identical records, and vice versa.
+    back on the append protocol below.  Older runs left other files:
+    a single ``results.jsonl`` (before the service existed) or
+    wider-prefix shards.  Those are read, never appended to, and
+    :meth:`ResultStore.compact` folds them into the width-1 shards.
 
 Crash tolerance
     Appends are atomic enough that a killed writer loses at most its
@@ -32,7 +32,7 @@ other processes incrementally (it tails each file from the last parsed
 offset), so long-lived handles — a service worker polling for work, a
 figure session rendering many tables — never re-parse the whole store.
 :meth:`ResultStore.compact` rewrites the store into its canonical
-sharded form: records sorted by key, deduplicated, volatile ``meta``
+form: records sorted by key, deduplicated, volatile ``meta``
 envelopes dropped — two stores holding the same results compact to
 byte-identical files no matter who wrote them in what order.
 """
@@ -50,10 +50,11 @@ from .. import obs
 _STORE_APPENDS = obs.counter("store.appends")
 _STORE_APPEND_S = obs.histogram("store.append_s")
 
-STORE_FILENAME = "results.jsonl"
-DEFAULT_SHARD_PREFIX = 1
+# Read-only: written by runs that predate sharding.
+LEGACY_FILENAME = "results.jsonl"
 
-_SHARD_RE = re.compile(r"^results-([0-9a-f]+)\.jsonl$")
+# Any prefix width: older fleets wrote wider shards, which stay readable.
+_SHARD_RE = re.compile(r"^results-[^.]+\.jsonl$")
 
 # Record envelope fields that survive compaction.  ``meta`` (timing,
 # worker identity — per-run provenance that varies run to run) is
@@ -90,29 +91,10 @@ class ResultStore:
 
     ``path=None`` gives an ephemeral in-memory store with the same API —
     the default for one-shot figure runs that do not pass ``--store``.
-
-    ``shard_prefix`` controls where *writes* go (reads always cover both
-    layouts):
-
-    * ``None`` (default) — auto: append to shards if the directory
-      already holds shard files, else to the legacy ``results.jsonl``.
-      Existing stores keep their layout; fresh single-process stores
-      stay single-file.
-    * ``0`` — force legacy single-file appends.
-    * ``k >= 1`` — force sharded appends, ``k`` hex chars of the key as
-      the shard prefix (service workers open their store this way, so a
-      fleet spreads its appends over ``16**k`` files).
     """
 
-    def __init__(
-        self,
-        path: str | os.PathLike | None = None,
-        shard_prefix: int | None = None,
-    ):
+    def __init__(self, path: str | os.PathLike | None = None):
         self.path = os.fspath(path) if path is not None else None
-        if shard_prefix is not None and shard_prefix < 0:
-            raise ValueError("shard_prefix must be None or >= 0")
-        self._shard_prefix = shard_prefix
         self._records: dict[str, dict[str, Any]] = {}
         # Per-file byte offset of the last fully parsed line, so
         # reload() tails instead of re-reading.
@@ -121,14 +103,16 @@ class ResultStore:
             os.makedirs(self.path, exist_ok=True)
             self.reload()
 
-    # -- layout ---------------------------------------------------------------
-
-    @property
-    def _legacy_file(self) -> str:
+    def _shard_file(self, key: str) -> str:
+        """The shard a record with ``key`` is appended (or compacted) to."""
         assert self.path is not None
-        return os.path.join(self.path, STORE_FILENAME)
+        return os.path.join(self.path, f"results-{key[:1].lower()}.jsonl")
 
-    def _shard_files_on_disk(self) -> list[str]:
+    # -- loading --------------------------------------------------------------
+
+    def _source_files(self) -> list[str]:
+        """Every record file on disk: the legacy file first, then the
+        shards, so on a duplicate key the later (shard) write wins."""
         assert self.path is not None
         try:
             names = os.listdir(self.path)
@@ -136,45 +120,9 @@ class ResultStore:
             return []
         return [
             os.path.join(self.path, name)
-            for name in sorted(names)
-            if _SHARD_RE.match(name)
+            for name in sorted(names, key=lambda n: (n != LEGACY_FILENAME, n))
+            if name == LEGACY_FILENAME or _SHARD_RE.match(name)
         ]
-
-    @property
-    def sharded(self) -> bool:
-        """Whether appends go to shard files (see ``shard_prefix``)."""
-        if self.path is None:
-            return False
-        if self._shard_prefix is not None:
-            return self._shard_prefix > 0
-        return bool(self._shard_files_on_disk())
-
-    def shard_width(self) -> int:
-        """Hex chars of key prefix naming the shard a record lands in."""
-        if self._shard_prefix:
-            return self._shard_prefix
-        widths = {
-            len(_SHARD_RE.match(os.path.basename(f)).group(1))
-            for f in self._shard_files_on_disk()
-        }
-        # Mixed widths cannot happen through this class; pick the widest
-        # so new appends never alias an existing narrower shard.
-        return max(widths) if widths else DEFAULT_SHARD_PREFIX
-
-    def _file_for_key(self, key: str) -> str:
-        if not self.sharded:
-            return self._legacy_file
-        prefix = key[: self.shard_width()].lower()
-        return os.path.join(self.path, f"results-{prefix}.jsonl")
-
-    # -- loading --------------------------------------------------------------
-
-    def _source_files(self) -> list[str]:
-        files = []
-        if os.path.exists(self._legacy_file):
-            files.append(self._legacy_file)
-        files.extend(self._shard_files_on_disk())
-        return files
 
     def _consume(self, path: str, start: int) -> None:
         """Parse complete lines of ``path`` from byte offset ``start``."""
@@ -293,8 +241,7 @@ class ResultStore:
         line = canonical_json(record)
         self._records[key] = record
         if self.path is not None:
-            path = self._file_for_key(key)
-            self._append_line(path, line)
+            self._append_line(self._shard_file(key), line)
 
     def _append_line(self, path: str, line: str) -> None:
         clock = obs.StopWatch()
@@ -321,16 +268,16 @@ class ResultStore:
 
     # -- compaction -----------------------------------------------------------
 
-    def compact(self, shard_prefix: int | None = None) -> dict[str, int]:
-        """Rewrite the store in canonical sharded form; returns a summary.
+    def compact(self) -> dict[str, int]:
+        """Rewrite the store in canonical form; returns a summary.
 
         Every record — legacy file, shards, torn-line survivors,
         duplicates — is folded into one deduplicated set, stripped of
-        its volatile ``meta`` envelope, and written back as one shard
-        file per key prefix with records in key order.  The rewrite is
-        atomic per shard (temp file + rename), the legacy file and
-        stale shards are removed afterwards, and the in-memory index is
-        reloaded from the new bytes.
+        its volatile ``meta`` envelope, and written back as one width-1
+        shard file per key prefix with records in key order.  The
+        rewrite is atomic per shard (temp file + rename), the legacy
+        file and stale shards are removed afterwards, and the in-memory
+        index is reloaded from the new bytes.
 
         Because the output is a pure sorted function of record
         *content*, two stores holding the same results — a
@@ -340,19 +287,13 @@ class ResultStore:
         if self.path is None:
             raise ValueError("cannot compact an in-memory store")
         self.reload()
-        width = shard_prefix or (
-            self._shard_prefix
-            if self._shard_prefix
-            else (self.shard_width() if self.sharded else DEFAULT_SHARD_PREFIX)
-        )
         by_shard: dict[str, list[str]] = {}
         for key in sorted(self._records):
             line = canonical_json(content_record(self._records[key]))
-            by_shard.setdefault(key[:width].lower(), []).append(line)
+            by_shard.setdefault(self._shard_file(key), []).append(line)
         before = self._source_files()
         written = []
-        for prefix, lines in sorted(by_shard.items()):
-            path = os.path.join(self.path, f"results-{prefix}.jsonl")
+        for path, lines in by_shard.items():
             tmp = path + ".compact.tmp"
             with open(tmp, "wb") as fh:
                 fh.write(("\n".join(lines) + "\n").encode("utf-8"))
@@ -366,7 +307,6 @@ class ResultStore:
                     os.remove(path)
                 except OSError:
                     pass
-        self._shard_prefix = width
         self._records.clear()
         self._offsets.clear()
         self.reload()

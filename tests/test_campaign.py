@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 import repro
 from repro.analysis.stats import RateEstimate, wilson_interval
 from repro.experiments import campaign as campaign_mod
+from repro.experiments import shotrunner as shotrunner_mod
 from repro.experiments import fig06_schedules, fig12_benchmarks, fig14_lowp
 from repro.experiments.campaign import (
     CampaignJob,
@@ -177,7 +178,7 @@ class TestResultStore:
         store = ResultStore(tmp_path / "s")
         store.put("k1", {}, {"v": 1})
         store.put("k2", {}, {"v": 2})
-        path = tmp_path / "s" / "results.jsonl"
+        path = tmp_path / "s" / "results-k.jsonl"  # both keys' shard
         text = path.read_text()
         path.write_text(text[: len(text) - 9])  # cut into k2's record
         reopened = ResultStore(tmp_path / "s")
@@ -189,7 +190,7 @@ class TestResultStore:
         never a record another writer appends after it."""
         store_a = ResultStore(tmp_path / "s")
         store_a.put("k1", {}, {"v": 1})
-        path = tmp_path / "s" / "results.jsonl"
+        path = tmp_path / "s" / "results-k.jsonl"  # every k* key's shard
         # Writer A dies mid-append: an unterminated partial record.
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"key": "k-torn", "job": {}, "res')
@@ -265,6 +266,18 @@ def _estimates(report):
     return out
 
 
+def lose_records(store_dir, jobs) -> None:
+    """Drop the records of ``jobs`` from every shard, as a run killed
+    before writing them would have left the store.  For the last jobs
+    of a run these are the trailing lines of their shards."""
+    lost = {job.key() for job in jobs}
+    for path in Path(store_dir).glob("results-*.jsonl"):
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(
+            "".join(line for line in lines if json.loads(line)["key"] not in lost)
+        )
+
+
 class TestResumeDeterminism:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_resume_is_byte_identical(self, tmp_path, workers):
@@ -276,15 +289,13 @@ class TestResumeDeterminism:
 
         interrupted_dir = tmp_path / "interrupted"
         run_campaign(jobs, store=interrupted_dir, config=cfg)
-        # Simulate the interruption: lose the last third of the store.
-        path = interrupted_dir / "results.jsonl"
-        lines = path.read_text().splitlines(keepends=True)
-        keep = len(lines) - max(1, len(lines) // 3)
-        path.write_text("".join(lines[:keep]))
+        # Simulate the interruption: lose the last third of the jobs.
+        lost = max(1, len(jobs) // 3)
+        lose_records(interrupted_dir, jobs[-lost:])
 
         resumed = run_campaign(jobs, store=interrupted_dir, config=cfg)
-        assert len(resumed.executed) == len(lines) - keep
-        assert resumed.hits == keep
+        assert len(resumed.executed) == lost
+        assert resumed.hits == len(jobs) - lost
         assert _estimates(resumed) == _estimates(full)
 
     def test_workers_do_not_change_results(self, tmp_path):
@@ -306,24 +317,79 @@ class TestResumeDeterminism:
         assert _estimates(forward) == _estimates(backward)
 
 
+def count_compiles(monkeypatch) -> dict[str, list]:
+    """Record every DEM extraction (its basis) and decoder construction
+    (its ``(basis, decoder)``) a campaign asks for."""
+    calls: dict[str, list] = {"dem": [], "decoder": []}
+    real_dem, real_decoder = campaign_mod.dem_for, campaign_mod.make_decoder
+
+    def dem_for(code, schedule, noise, basis, rounds):
+        calls["dem"].append(basis)
+        return real_dem(code, schedule, noise, basis=basis, rounds=rounds)
+
+    def make_decoder(dem, basis, decoder):
+        calls["decoder"].append((basis, decoder))
+        return real_decoder(dem, basis, decoder)
+
+    monkeypatch.setattr(campaign_mod, "dem_for", dem_for)
+    for module in (campaign_mod, shotrunner_mod):
+        monkeypatch.setattr(module, "make_decoder", make_decoder)
+    return calls
+
+
 class TestCompileCache:
-    def test_dem_and_decoder_compile_once_per_config(self, tmp_path):
-        cache = CompileCache()
-        run_campaign(smoke_spec(), store=tmp_path / "s", cache=cache)
+    def test_dem_and_decoder_compile_once_per_config(self, tmp_path, monkeypatch):
+        calls = count_compiles(monkeypatch)
+        run_campaign(smoke_spec(), store=tmp_path / "s", cache=CompileCache())
         # 1 code x 1 schedule x 1 p x 2 bases -> 2 DEMs, 2 decoders,
         # shared across both estimators (4 jobs).
-        assert cache.stats["dem_misses"] == 2
-        assert cache.stats["decoder_misses"] == 2
-        assert cache.stats["dem_hits"] > 0
+        assert sorted(calls["dem"]) == ["x", "z"]
+        assert sorted(calls["decoder"]) == [("x", "auto"), ("z", "auto")]
 
-    def test_completed_campaign_skips_compilation(self, tmp_path):
+    def test_one_decoder_per_compile_key_and_decoder(self, tmp_path, monkeypatch):
+        calls = count_compiles(monkeypatch)
+        spec = CampaignSpec(
+            name="two-decoders",
+            codes=("surface_d3",),
+            schedules=("nz",),
+            p_values=(3e-3,),
+            bases=("z", "x"),
+            decoders=("auto", "matching"),
+            shots=128,
+            chunk_size=64,
+        )
+        report = run_campaign(spec, store=tmp_path / "s", cache=CompileCache())
+        assert len(report.executed) == 4
+        assert sorted(calls["dem"]) == ["x", "z"]
+        assert sorted(calls["decoder"]) == [
+            (basis, decoder) for basis in "xz" for decoder in ("auto", "matching")
+        ]
+
+    def test_completed_campaign_skips_compilation(self, tmp_path, monkeypatch):
         spec = smoke_spec()
         run_campaign(spec, store=tmp_path / "s")
-        cache = CompileCache()
-        report = run_campaign(spec, store=tmp_path / "s", cache=cache)
+        calls = count_compiles(monkeypatch)
+        report = run_campaign(spec, store=tmp_path / "s", cache=CompileCache())
         assert report.executed == []
-        assert cache.stats["dem_misses"] == 0
-        assert cache.stats["decoder_misses"] == 0
+        assert calls == {"dem": [], "decoder": []}
+
+    def test_shared_cache_writes_each_stores_syndrome_cache(self, tmp_path):
+        """One CompileCache (so one decoder) serving two stores fills a
+        ``syndromes/`` cache in each: the second store's jobs must not
+        keep appending to the first store's cache."""
+        cache = CompileCache()
+        spec = dataclasses.replace(smoke_spec(), estimators=("direct",))
+        for name in ("a", "b"):
+            run_campaign(spec, store=tmp_path / name, cache=cache)
+        contents = []
+        for name in ("a", "b"):
+            syn_dir = tmp_path / name / "syndromes"
+            files = sorted(os.listdir(syn_dir))
+            assert files and all(f.startswith("syn-") for f in files)
+            contents.append(
+                {f: sorted((syn_dir / f).read_bytes().splitlines()) for f in files}
+            )
+        assert contents[0] == contents[1]
 
 
 class TestZeroRecompute:

@@ -79,6 +79,28 @@ class TestCampaignCli:
         assert "4 executed" in out
         assert "resume check: 4 store hits, 0 recomputed" in out
 
+    def test_smoke_run_compacts_before_its_resume_pass(self, tmp_path, capsys):
+        """The CI smoke gate covers compaction followed by resume: the
+        store the resume pass reads is the compacted one."""
+        import json
+
+        store = tmp_path / "store"
+        assert cli_main(["campaign", "run", "--smoke", "--store", str(store)]) == 0
+        out = capsys.readouterr().out
+        assert "compacted: 4 records in" in out
+        assert out.index("compacted:") < out.index("resume check:")
+        assert "resume check: 4 store hits, 0 recomputed" in out
+        shards = sorted(store.glob("results*.jsonl"))
+        assert shards
+        assert all(len(p.name) == len("results-0.jsonl") for p in shards)
+        for path in shards:
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+            # Compacted: no meta envelopes, records in key order, and the
+            # resume pass appended nothing.
+            assert all("meta" not in r for r in records)
+            keys = [r["key"] for r in records]
+            assert keys == sorted(set(keys))
+
     def test_run_with_workers_reports_the_cache_on_disk(self, tmp_path, capsys):
         """The cache line is the on-disk census ``campaign status`` prints,
         so entries written by pool workers are counted."""
@@ -221,20 +243,27 @@ class TestCampaignCli:
         assert "6 jobs, 0 store hits, 6 executed" in out
         assert "noise=biased:10" in out
 
-        results = store / "results.jsonl"
-
         def records_sans_timing():
             rows = []
-            for line in results.read_text().splitlines():
-                record = json.loads(line)
-                record.pop("meta", None)  # wall clock / worker provenance
-                rows.append(json.dumps(record, sort_keys=True))
+            for path in sorted(store.glob("results-*.jsonl")):
+                for line in path.read_text().splitlines():
+                    record = json.loads(line)
+                    record.pop("meta", None)  # wall clock / worker provenance
+                    rows.append(json.dumps(record, sort_keys=True))
             return rows
 
         full = records_sans_timing()
-        # Interrupt: lose the last two records, then resume.
-        lines = results.read_text().splitlines(keepends=True)
-        results.write_text("".join(lines[:-2]))
+        # Interrupt: lose the last two jobs' records (the trailing lines
+        # of their shards), then resume.
+        from repro.experiments.campaign import CampaignSpec
+
+        jobs = CampaignSpec.from_json_file(spec_path).expand()
+        lost = {job.key() for job in jobs[-2:]}
+        for path in store.glob("results-*.jsonl"):
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text(
+                "".join(line for line in lines if json.loads(line)["key"] not in lost)
+            )
         assert cli_main(["campaign", "run", str(spec_path), "--store", str(store)]) == 0
         out = capsys.readouterr().out
         assert "4 store hits, 2 executed" in out

@@ -10,12 +10,17 @@ from repro.core import (
     build_maxsat_model,
     find_ambiguous_subgraph,
     is_ambiguous,
-    sample_ambiguous_subgraphs,
     solve_min_weight_logical,
 )
 from repro.decoders.metrics import dem_for
 from repro.noise import NoiseModel
 from repro.sim import DetectorErrorModel, ErrorMechanism
+
+
+def ambiguous_subgraphs(graph, samples, rng):
+    """``samples`` independent expansions, keeping the ambiguous ones."""
+    found = (find_ambiguous_subgraph(graph, rng) for _ in range(samples))
+    return [sub for sub in found if sub is not None]
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +101,7 @@ class TestAmbiguity:
     def test_finds_ambiguity_in_surface_code(self, d3_dem):
         graph = DecodingGraph(d3_dem)
         rng = np.random.default_rng(0)
-        found = sample_ambiguous_subgraphs(graph, 20, rng)
+        found = ambiguous_subgraphs(graph, 20, rng)
         assert found  # a d=3 code always has weight-3 ambiguous errors
         for sub in found:
             assert is_ambiguous(sub.h, sub.l)
@@ -120,7 +125,7 @@ class TestAmbiguity:
 class TestMinWeightSolvers:
     def _subgraphs(self, dem, n=6, seed=0):
         graph = DecodingGraph(dem)
-        return sample_ambiguous_subgraphs(graph, n, np.random.default_rng(seed))
+        return ambiguous_subgraphs(graph, n, np.random.default_rng(seed))
 
     def test_solution_is_a_logical_error(self, d3_dem):
         for sub in self._subgraphs(d3_dem):

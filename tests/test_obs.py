@@ -16,12 +16,17 @@ import json
 import os
 import threading
 
+import numpy as np
 import pytest
 
 from repro import obs
+from repro.circuits import nz_schedule
+from repro.codes import rotated_surface_code
+from repro.decoders.metrics import dem_for, make_decoder
 from repro.experiments.campaign import CampaignSpec, run_campaign
 from repro.experiments.service import serve_campaign
 from repro.experiments.store import ResultStore
+from repro.noise import NoiseModel
 from repro.obs import dashboard
 from repro.obs.log import Logger
 from repro.obs.metrics import (
@@ -31,6 +36,7 @@ from repro.obs.metrics import (
     merge_snapshots,
 )
 from repro.obs.trace import aggregate_stages, chrome_trace, fold_latest_snapshot
+from repro.sim import DemSampler
 
 
 @pytest.fixture(autouse=True)
@@ -447,6 +453,24 @@ class TestTimed:
         first = clock.elapsed
         clock.restart()
         assert clock.elapsed <= max(first, clock.elapsed)
+
+
+class TestDecodeCounters:
+    def test_matching_packed_decode_counts_shots_and_subset_syndromes(self):
+        """``decode.shots``/``decode.unique`` count the matching decoder's
+        packed path too, whose dedup runs on its detector subset."""
+        code = rotated_surface_code(3)
+        dem = dem_for(code, nz_schedule(code), NoiseModel(p=1e-3), basis="z")
+        dec = make_decoder(dem, "z", "matching")
+        batch = DemSampler(dem).sample_packed(1000, np.random.default_rng(0))
+        subset = batch.to_dense().detectors[:, dec.subset]
+        distinct = len(np.unique(subset, axis=0))
+        assert 1 < distinct < 1000
+        with obs.enabled_to(True):
+            dec.decode_batch_packed(batch)
+        counters = obs.snapshot()["counters"]
+        assert counters["decode.shots"] == 1000
+        assert counters["decode.unique"] == distinct
 
 
 # -- byte identity (the load-bearing contract) -------------------------------

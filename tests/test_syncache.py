@@ -9,12 +9,14 @@ matches the dense reference (the litmus battery, extended to the
 cache-hit path).
 """
 
+import contextlib
 import os
 
 import numpy as np
 import pytest
 from test_decoders_packed import assert_packed_matches_dense
 
+from repro import obs
 from repro.circuits import nz_schedule
 from repro.codes import rotated_surface_code
 from repro.decoders import (
@@ -66,7 +68,7 @@ class TestRoundTrip:
         assert hit.all() and np.array_equal(got, values)
         # A fresh instance reloads everything from disk.
         reopened = _cache(tmp_path)
-        assert reopened.loaded == 5
+        assert len(reopened) == 5
         got, hit = reopened.lookup(keys)
         assert hit.all() and np.array_equal(got, values)
 
@@ -94,10 +96,24 @@ class TestRoundTrip:
     def test_stats_count_hits_and_misses(self, tmp_path):
         cache = _cache(tmp_path)
         keys = _keys(4)
-        cache.lookup(keys)
-        cache.insert(keys, np.zeros((4, 2), dtype=np.uint8))
-        cache.lookup(keys[:2])
-        assert cache.stats == {"hits": 2, "misses": 4, "entries": 4, "loaded": 0}
+        with _syncache_counts() as counts:
+            cache.lookup(keys)
+            cache.insert(keys, np.zeros((4, 2), dtype=np.uint8))
+            cache.lookup(keys[:2])
+        assert counts == {"hits": 2, "misses": 4}
+        assert len(cache) == 4
+
+
+@contextlib.contextmanager
+def _syncache_counts():
+    """Telemetry on for the block; yields the ``syncache.hits`` and
+    ``syncache.misses`` it added, filled in when the block exits."""
+    counters = {k: obs.counter(f"syncache.{k}") for k in ("hits", "misses")}
+    start = {k: c.value for k, c in counters.items()}
+    counts: dict[str, int] = {}
+    with obs.enabled_to(True):
+        yield counts
+    counts.update({k: c.value - start[k] for k, c in counters.items()})
 
 
 def _name(cache):
@@ -183,7 +199,7 @@ class TestConcurrentWriters:
             fh.write("0011223344556677 a")
         # Writer B opens the same cache and appends a full entry.
         b = _cache(tmp_path)
-        assert b.loaded == 2
+        assert len(b) == 2
         keys_b = _keys(2, seed=2)
         b.insert(keys_b, np.full((2, 2), 2, dtype=np.uint8))
         # B dies mid-append itself; writer C appends after it.
@@ -263,28 +279,29 @@ class TestDecoderBitIdentity:
         check(dec)
         memo = dec.syndrome_cache
         assert memo.directory is None
-        filled = memo.stats["entries"]
+        filled = len(memo)
         assert filled > 0
 
         # Repeat call: every syndrome is a memo hit.
-        misses = memo.stats["misses"]
-        check(dec)
-        assert memo.stats["misses"] == misses
-        assert memo.stats["entries"] == filled
+        with _syncache_counts() as counts:
+            check(dec)
+        assert counts["misses"] == 0 and counts["hits"] > 0
+        assert len(memo) == filled
 
         # An on-disk cache attached after in-memory hits replaces the
         # memo, so the next decode writes every syndrome to disk.
         dec.attach_syndrome_cache(SyndromeCache.for_decoder(dec, tmp_path))
         check(dec)
         disk = dec.syndrome_cache
-        assert disk is not memo and disk.stats["entries"] == filled
+        assert disk is not memo and len(disk) == filled
 
         # Warm: a fresh decoder serves everything from disk.
         warm = make_decoder()
         warm.attach_syndrome_cache(SyndromeCache.for_decoder(warm, tmp_path))
-        assert warm.syndrome_cache.loaded == filled
-        check(warm)
-        assert warm.syndrome_cache.stats["misses"] == 0
+        assert len(warm.syndrome_cache) == filled
+        with _syncache_counts() as counts:
+            check(warm)
+        assert counts["misses"] == 0
 
         # Corrupted: every stored value garbled (not valid hex) loads as
         # nothing, and the decode recomputes.
@@ -295,7 +312,7 @@ class TestDecoderBitIdentity:
             fh.write("\n".join(damaged) + "\n")
         fresh = make_decoder()
         fresh.attach_syndrome_cache(SyndromeCache.for_decoder(fresh, tmp_path))
-        assert fresh.syndrome_cache.loaded == 0
+        assert len(fresh.syndrome_cache) == 0
         check(fresh)
 
     @pytest.mark.parametrize("shots", [65, 1000])
@@ -425,7 +442,7 @@ class TestCompactCacheDir:
         assert compact_cache_dir(tmp_path) == {"files": 1, "absorbed": 1, "entries": 5}
         assert not os.path.exists(shard.path)
         reopened = _cache(tmp_path)
-        assert reopened.loaded == 5 and not reopened._read_only
+        assert len(reopened) == 5 and not reopened._read_only
         assert list(_entries(base.path)) == sorted(_entries(base.path))
 
     @pytest.mark.parametrize("bad", ["mismatched", "unreadable"])
