@@ -125,13 +125,15 @@ def _row_bytes(rows: np.ndarray) -> list[bytes]:
 
 
 def summarize_cache_dir(directory: str | os.PathLike) -> dict[str, int]:
-    """Cheap on-disk census of a syndrome-cache directory.
+    """On-disk census of a syndrome-cache directory.
 
-    Counts cache files and entry lines (header excluded) without
-    parsing entries — for ``campaign status`` style reporting.
+    Counts cache files and distinct entries: a base ``<stem>.cache`` and
+    its writer shards form one table, and a syndrome appended more than
+    once (by forked workers that each missed it) counts once.  Files that
+    do not parse add nothing — for ``campaign status`` style reporting.
     """
     files = 0
-    entries = 0
+    keys: dict[str, set[bytes]] = {}
     try:
         names = sorted(os.listdir(directory))
     except OSError:
@@ -140,12 +142,11 @@ def summarize_cache_dir(directory: str | os.PathLike) -> dict[str, int]:
         if not (name.startswith("syn-") and name.endswith(".cache")):
             continue
         files += 1
-        try:
-            with open(os.path.join(directory, name), "rb") as fh:
-                entries += max(0, sum(1 for _ in fh) - 1)
-        except OSError:
-            continue
-    return {"files": files, "entries": entries}
+        parsed = _read_cache_file(os.path.join(directory, name))
+        if parsed is not None:
+            base = name[: -len(".cache")].split(".w", 1)[0]
+            keys.setdefault(base, set()).update(parsed[1])
+    return {"files": files, "entries": sum(map(len, keys.values()))}
 
 
 class SyndromeCache:

@@ -1,10 +1,13 @@
-/* Native kernels for the packed-bit hot spots.
+/* Native kernels for the packed-bit hot spots and the BP+OSD decoder.
  *
- * Compiled at runtime by repro.gf2.kernels (plain `cc -O3 -shared -fPIC`)
- * and loaded through ctypes — no build step, no new dependency; if no
- * compiler is available the pure-numpy backend takes over.  Every function
- * here is bit-identical to its numpy reference (pinned by
- * tests/test_kernels.py).
+ * Compiled at runtime by repro.gf2.kernels (`cc -O3 -ffp-contract=off
+ * -shared -fPIC`) and loaded through ctypes — no build step, no new
+ * dependency; if no compiler is available the pure-numpy backend takes
+ * over.  Every function here is bit-identical to its numpy reference
+ * (pinned by tests/test_kernels.py and tests/test_bposd_kernels.py).
+ * The BP kernel reproduces numpy's floating-point operations one for
+ * one, so the compiler must not fuse a multiply and an add into an FMA:
+ * hence -ffp-contract=off.
  *
  * Everything runs on the calling thread.  The callers parallelize with
  * forked worker processes, and a thread team started here in the parent
@@ -15,6 +18,8 @@
  */
 
 #include <stdint.h>
+#include <math.h>
+#include <string.h>
 
 /* 64x64 bit transpose of one block, little-endian butterfly network
  * (Hacker's Delight 7-3, mirrored for little-endian bit order exactly
@@ -103,4 +108,270 @@ void repro_fold_rows(const uint64_t *in, long m, long n, uint64_t *out) {
     }
     out[i] = h;
   }
+}
+
+/* -- BP: normalized min-sum, one syndrome at a time ----------------------
+ *
+ * The numpy reference runs all shots of a batch together; this kernel
+ * walks one shot's edges at a time and repeats its arithmetic exactly:
+ *
+ *   check node  c2v = (+-)(double)0.8f * min(min over the row's other
+ *               edges of |v2c|, 25.0), negative iff the syndrome bit
+ *               XOR the parity of the other edges' negative messages;
+ *   column sum  numpy's add.reduceat: the first edge of the column plus
+ *               the pairwise sum of the rest (pairwise_sum below), in
+ *               double, then cast to float (0 for a column no detector
+ *               touches);
+ *   posterior   post = prior + colsum, in float;
+ *   v2c         (double)post - c2v.
+ *
+ * Messages start as the float priors.  A shot stops at the first
+ * iteration whose hard decision (post < 0) reproduces its syndrome and
+ * keeps that iteration's outputs; max_iterations == 0 returns the
+ * priors, zero decisions and converged = 0.
+ */
+
+/* numpy's pairwise summation of n >= 1 gathered doubles (the inner loop
+ * of its float64 add reduction): plain below 8 terms, eight strided
+ * accumulators up to 128, halves above. */
+static double pairwise_sum(const double *a, const int64_t *idx, long n) {
+  if (n < 8) {
+    double res = -0.0;
+    for (long i = 0; i < n; i++) {
+      res += a[idx[i]];
+    }
+    return res;
+  }
+  if (n <= 128) {
+    double r[8];
+    long i;
+    for (int j = 0; j < 8; j++) {
+      r[j] = a[idx[j]];
+    }
+    for (i = 8; i < n - (n % 8); i += 8) {
+      for (int j = 0; j < 8; j++) {
+        r[j] += a[idx[i + j]];
+      }
+    }
+    double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < n; i++) {
+      res += a[idx[i]];
+    }
+    return res;
+  }
+  long n2 = n / 2;
+  n2 -= n2 % 8;
+  return pairwise_sum(a, idx, n2) + pairwise_sum(a, idx + n2, n - n2);
+}
+
+/* syndromes : (shots, rows) uint8
+ * row_ptr   : (rows + 1,) edge offsets, edges numbered row-major
+ * edge_col  : (edges,) column of each edge
+ * col_ptr   : (cols + 1,) offsets into col_order
+ * col_order : (edges,) edge ids grouped by column, rows ascending
+ * prior     : (cols,) float prior LLRs
+ * work      : (2 * edges,) double scratch
+ * posterior : (shots, cols) float out;  decisions : (shots, cols) uint8
+ * out;  converged : (shots,) uint8 out
+ */
+void repro_bp_min_sum(const uint8_t *syndromes, long shots, long rows,
+                      long cols, const int64_t *row_ptr,
+                      const int64_t *edge_col, const int64_t *col_ptr,
+                      const int64_t *col_order, const float *prior,
+                      long max_iterations, double *work, float *posterior,
+                      uint8_t *decisions, uint8_t *converged) {
+  const long edges = row_ptr[rows];
+  double *v2c = work;
+  double *c2v = work + edges;
+  const double scale = (double)0.8f;
+  for (long s = 0; s < shots; s++) {
+    const uint8_t *syn = syndromes + s * rows;
+    float *post = posterior + s * cols;
+    uint8_t *dec = decisions + s * cols;
+    converged[s] = 0;
+    for (long c = 0; c < cols; c++) {
+      post[c] = prior[c];
+      dec[c] = 0;
+    }
+    for (long e = 0; e < edges; e++) {
+      v2c[e] = (double)prior[edge_col[e]];
+    }
+    for (long it = 0; it < max_iterations; it++) {
+      for (long r = 0; r < rows; r++) {
+        const long lo = row_ptr[r];
+        const long hi = row_ptr[r + 1];
+        double min1 = INFINITY;
+        double min2 = INFINITY;
+        long count = 0; /* edges at min1: a wide count, never wraps */
+        int parity = syn[r] & 1;
+        for (long e = lo; e < hi; e++) {
+          const double m = fabs(v2c[e]);
+          parity ^= v2c[e] < 0;
+          if (m < min1) {
+            min2 = min1;
+            min1 = m;
+            count = 1;
+          } else if (m == min1) {
+            count++;
+          } else if (m < min2) {
+            min2 = m;
+          }
+        }
+        if (count > 1) {
+          min2 = min1;
+        }
+        for (long e = lo; e < hi; e++) {
+          const double m = fabs(v2c[e]);
+          double ext = (m == min1 && count == 1) ? min2 : min1;
+          if (ext > 25.0) {
+            ext = 25.0;
+          }
+          const double mag = scale * ext;
+          c2v[e] = (parity ^ (v2c[e] < 0)) ? -mag : mag;
+        }
+      }
+      for (long c = 0; c < cols; c++) {
+        const long lo = col_ptr[c];
+        const long n = col_ptr[c + 1] - lo;
+        float colsum = 0.0f;
+        if (n > 0) {
+          double sum = c2v[col_order[lo]];
+          if (n > 1) {
+            sum += pairwise_sum(c2v, col_order + lo + 1, n - 1);
+          }
+          colsum = (float)sum;
+        }
+        const float p = prior[c] + colsum;
+        post[c] = p;
+        dec[c] = p < 0.0f;
+        for (long k = lo; k < lo + n; k++) {
+          const long e = col_order[k];
+          v2c[e] = (double)p - c2v[e];
+        }
+      }
+      int ok = 1;
+      for (long r = 0; r < rows && ok; r++) {
+        int parity = syn[r] & 1;
+        for (long e = row_ptr[r]; e < row_ptr[r + 1]; e++) {
+          parity ^= dec[edge_col[e]];
+        }
+        ok = !parity;
+      }
+      if (ok) {
+        converged[s] = 1;
+        break;
+      }
+    }
+  }
+}
+
+/* -- OSD: greedy column basis ---------------------------------------------
+ *
+ * Row-reducing H with its columns in reliability order pivots exactly on
+ * the greedy basis of those columns: column i is a pivot iff it is not
+ * in the span of the columns before it.  So instead of an RREF, walk the
+ * columns in order and reduce each against the basis built so far.
+ * Basis vectors are kept by leading bit (an XOR basis), each with the
+ * bitset of pivots whose sum it is.  A column that reduces to zero is
+ * the sum of the pivots in its accumulated bitset — exactly its column
+ * in the RREF — and a syndrome that reduces to zero is solved by its
+ * bitset, the unique solution on the pivot columns.
+ *
+ * hcols     : (cols, nwords) packed columns of H (rows <= 64 * nwords)
+ * order     : (cols,) the column order to walk
+ * syndrome  : (nwords,) packed
+ * target    : stop once this many pivots are found (rank(H)), or -1 to
+ *             walk every column
+ * n_free    : also record the first n_free non-pivot positions
+ * work      : (2 * 64 * nwords * nwords + 3 * nwords,) uint64 scratch
+ * pivots    : (cap,) positions in `order` of the pivots, ascending
+ * solution  : (cap,) the syndrome's pivot coefficients
+ * free_cols : (n_free,) positions of the first non-pivot columns
+ * combos    : (n_free, cap) zeroed; combos[f][k] = 1 iff pivot k is in
+ *             the sum equal to free column f
+ * counts    : out [rank, free columns found, syndrome consistent]
+ */
+static long top_bit(uint64_t x) {
+#if defined(__GNUC__) || defined(__clang__)
+  return 63 - __builtin_clzll(x);
+#else
+  long b = 63;
+  while (!(x >> b)) {
+    b--;
+  }
+  return b;
+#endif
+}
+
+static int reduce_vec(uint64_t *v, uint64_t *comb, long nwords,
+                      const uint64_t *have, const uint64_t *bvec,
+                      const uint64_t *bcomb) {
+  int left = 0;
+  for (long w = nwords - 1; w >= 0; w--) {
+    uint64_t x;
+    while ((x = v[w] & have[w]) != 0) {
+      const long slot = w * 64 + top_bit(x);
+      const uint64_t *b = bvec + slot * nwords;
+      const uint64_t *c = bcomb + slot * nwords;
+      for (long k = 0; k <= w; k++) {
+        v[k] ^= b[k];
+      }
+      for (long k = 0; k < nwords; k++) {
+        comb[k] ^= c[k];
+      }
+    }
+    left |= v[w] != 0;
+  }
+  return left;
+}
+
+void repro_osd_basis(const uint64_t *hcols, long cols, long nwords,
+                     const int64_t *order, const uint64_t *syndrome,
+                     long target, long n_free, long cap, uint64_t *work,
+                     int64_t *pivots, uint8_t *solution, int64_t *free_cols,
+                     uint8_t *combos, int64_t *counts) {
+  const long slots = 64 * nwords;
+  uint64_t *bvec = work;
+  uint64_t *bcomb = bvec + slots * nwords;
+  uint64_t *have = bcomb + slots * nwords;
+  uint64_t *v = have + nwords;
+  uint64_t *comb = v + nwords;
+  memset(have, 0, nwords * sizeof(uint64_t));
+  long rank = 0;
+  long nfree = 0;
+  for (long i = 0; i < cols; i++) {
+    if (rank == target && nfree >= n_free) {
+      break;
+    }
+    memcpy(v, hcols + order[i] * nwords, nwords * sizeof(uint64_t));
+    memset(comb, 0, nwords * sizeof(uint64_t));
+    if (reduce_vec(v, comb, nwords, have, bvec, bcomb)) {
+      long w = nwords - 1;
+      while (v[w] == 0) {
+        w--;
+      }
+      const long slot = w * 64 + top_bit(v[w]);
+      comb[rank / 64] ^= 1ULL << (rank % 64);
+      memcpy(bvec + slot * nwords, v, nwords * sizeof(uint64_t));
+      memcpy(bcomb + slot * nwords, comb, nwords * sizeof(uint64_t));
+      have[w] |= 1ULL << (slot % 64);
+      pivots[rank++] = i;
+    } else if (nfree < n_free) {
+      for (long k = 0; k < rank; k++) {
+        combos[nfree * cap + k] = (comb[k / 64] >> (k % 64)) & 1;
+      }
+      free_cols[nfree++] = i;
+    }
+  }
+  memcpy(v, syndrome, nwords * sizeof(uint64_t));
+  memset(comb, 0, nwords * sizeof(uint64_t));
+  const int consistent = !reduce_vec(v, comb, nwords, have, bvec, bcomb);
+  if (consistent) {
+    for (long k = 0; k < rank; k++) {
+      solution[k] = (comb[k / 64] >> (k % 64)) & 1;
+    }
+  }
+  counts[0] = rank;
+  counts[1] = nfree;
+  counts[2] = consistent;
 }

@@ -9,10 +9,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
-from .kernels import popcount_u64
-
 _WORD = 64
+
+# numpy-version-portable popcount; the kernel backends import it from here.
+if hasattr(np, "bitwise_count"):  # numpy >= 2.0
+    popcount_u64 = np.bitwise_count
+else:  # numpy 1.x: 8-bit lookup over the byte view
+
+    _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+    def popcount_u64(words: np.ndarray) -> np.ndarray:
+        words = np.ascontiguousarray(words, dtype=np.uint64)
+        as_bytes = words.reshape(-1).view(np.uint8)
+        return _POP8[as_bytes].reshape(words.shape + (8,)).sum(
+            axis=-1, dtype=np.int64
+        )
 
 
 def pack_rows(dense: np.ndarray) -> np.ndarray:
@@ -233,3 +244,7 @@ class BitMatrix:
             raise ValueError("vector length must equal the number of columns")
         anded = self.words & xm.words[0]
         return (popcount_u64(anded).sum(axis=1) & 1).astype(np.uint8)
+
+
+# Last, because the kernel backends import this module's names.
+from . import kernels  # noqa: E402

@@ -1,4 +1,4 @@
-"""Pluggable backends for the three packed-bit hot-spot kernels.
+"""Pluggable backends for the packed-bit kernels and the BP+OSD loops.
 
 Profiling the packed sample→decode pipeline (PR 2) puts essentially all
 of its non-decoder time in three word-level kernels:
@@ -12,23 +12,35 @@ of its non-decoder time in three word-level kernels:
     Grouping shots by identical syndrome key (the unique-syndrome
     batching core).
 
+and BP+OSD decoding (:class:`repro.decoders.BpOsdDecoder`) spends nearly
+all of its time in two loops:
+
+``bp_min_sum``
+    Normalized min-sum belief propagation over a :class:`TannerGraph`.
+``osd_basis``
+    The reliability-ordered column basis of OSD: pivots, the syndrome's
+    solution on them, and the pivot sums of the first free columns.
+
 This module gives each of them swappable implementations behind one
 dispatch point:
 
 ``numpy``
     The original vectorized single-thread implementations — the pinned
     reference every other backend is parity-tested against bit for bit
-    (``tests/test_kernels.py``).
+    (``tests/test_kernels.py``, ``tests/test_bposd_kernels.py``).
 ``cnative``
     A tiny C translation unit (``_kernels.c``) compiled on first use
-    with the system compiler (``cc -O3 -shared -fPIC``), loaded through
-    ctypes, and self-tested against the numpy reference before it is
-    ever trusted.  Grouping sorts on a splitmix64 hash-fold of each
-    multi-word key instead of lexsorting column by column, with exact
-    collision repair — the grouping is identical, only group *order*
-    differs (explicitly arbitrary by contract; callers map through
-    ``inverse``).  No build step, no new dependency: if anything in that
-    chain is missing the resolver silently falls back.
+    with the system compiler (``cc -O3 -ffp-contract=off -shared
+    -fPIC``), loaded through ctypes, and self-tested against the numpy
+    reference before it is ever trusted.  Grouping sorts on a splitmix64
+    hash-fold of each multi-word key instead of lexsorting column by
+    column, with exact collision repair — the grouping is identical, only
+    group *order* differs (explicitly arbitrary by contract; callers map
+    through ``inverse``).  BP runs one syndrome at a time and repeats
+    numpy's floating-point operations one for one; OSD builds the greedy
+    column basis instead of an RREF.  No build step, no new dependency:
+    if anything in that chain is missing the resolver silently falls
+    back.
 
 Both run on the calling thread only.  Parallelism is the process
 fan-out of the shot runner and the subgraph sampler
@@ -55,12 +67,16 @@ import shutil
 import subprocess
 import tempfile
 from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .. import obs
+from .bitmat import BitMatrix, pack_rows, popcount_u64, unpack_rows
 
 _WORD = 64
+_LLR_CLIP = 25.0  # bound on a check-to-variable message magnitude
 
 # Dispatch instruments: per-kernel call counts plus a per-backend call
 # counter (rebound by set_backend) so a fleet summary shows which
@@ -68,23 +84,9 @@ _WORD = 64
 _TRANSPOSE_CALLS = obs.counter("kernel.transpose")
 _POPCOUNT_CALLS = obs.counter("kernel.popcount")
 _UNIQUE_CALLS = obs.counter("kernel.unique")
+_BP_CALLS = obs.counter("kernel.bp")
+_OSD_CALLS = obs.counter("kernel.osd")
 _BACKEND_CALLS = obs.counter("kernel.backend.numpy")
-
-# -- numpy-version-portable popcount ------------------------------------------
-
-if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-    popcount_u64 = np.bitwise_count
-else:  # numpy 1.x: 8-bit lookup over the byte view
-
-    _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-    def popcount_u64(words: np.ndarray) -> np.ndarray:
-        words = np.ascontiguousarray(words, dtype=np.uint64)
-        as_bytes = words.reshape(-1).view(np.uint8)
-        return _POP8[as_bytes].reshape(words.shape + (8,)).sum(
-            axis=-1, dtype=np.int64
-        )
-
 
 # Butterfly masks for the in-register 64x64 bit transpose: at step ``j``
 # the mask selects the low ``j`` bit positions of every ``2j`` group.
@@ -150,6 +152,72 @@ def _group_sorted(keys: np.ndarray, order: np.ndarray):
     inv_nz = np.empty(len(keys), dtype=np.int64)
     inv_nz[order] = inv_sorted
     return unique_nz, inv_nz
+
+
+# -- BP+OSD inputs and outputs --------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TannerGraph:
+    """A check matrix's edges as the BP kernels walk them.
+
+    Edges are numbered row-major: edge ``k`` joins row ``edge_row[k]``
+    and column ``edge_col[k]``, and row ``r`` owns edges
+    ``row_ptr[r]:row_ptr[r + 1]``.  ``col_order`` lists the edges
+    grouped by column (rows ascending), column ``c`` owning
+    ``col_order[col_ptr[c]:col_ptr[c + 1]]``.  ``prior`` holds the
+    columns' prior LLRs in float32.
+    """
+
+    edge_row: np.ndarray
+    edge_col: np.ndarray
+    row_ptr: np.ndarray
+    col_order: np.ndarray
+    col_ptr: np.ndarray
+    prior: np.ndarray
+
+    def __post_init__(self):
+        # The C kernel reads these buffers as they are.
+        for name, value in vars(self).items():
+            dtype = np.float32 if name == "prior" else np.int64
+            if value.dtype != dtype or not value.flags.c_contiguous:
+                raise ValueError(f"{name} must be a contiguous {dtype.__name__} array")
+
+    @classmethod
+    def from_edges(
+        cls, edge_row: np.ndarray, edge_col: np.ndarray, rows: int, prior: np.ndarray
+    ) -> "TannerGraph":
+        """Build from a row-major edge list (rows ascending, then columns)."""
+        edge_row = np.ascontiguousarray(edge_row, dtype=np.int64)
+        edge_col = np.ascontiguousarray(edge_col, dtype=np.int64)
+        col_order = np.argsort(edge_col, kind="stable")
+        row_ptr = np.searchsorted(edge_row, np.arange(rows + 1))
+        col_ptr = np.searchsorted(edge_col[col_order], np.arange(len(prior) + 1))
+        return cls(
+            edge_row=edge_row,
+            edge_col=edge_col,
+            row_ptr=row_ptr.astype(np.int64),
+            col_order=col_order.astype(np.int64),
+            col_ptr=col_ptr.astype(np.int64),
+            prior=np.ascontiguousarray(prior, dtype=np.float32),
+        )
+
+
+class OsdBasis(NamedTuple):
+    """The greedy basis of H's columns in a given order.
+
+    Positions index the order, not H.  ``pivots`` are the independent
+    columns (ascending), ``solution`` the syndrome's coefficient on each
+    pivot (``None`` when the syndrome is outside H's column space),
+    ``free`` the first non-pivot positions asked for, and
+    ``combos[f, k] = 1`` iff pivot ``k`` is in the sum equal to column
+    ``free[f]`` — the RREF's entries.
+    """
+
+    pivots: np.ndarray
+    solution: np.ndarray | None
+    free: np.ndarray
+    combos: np.ndarray
 
 
 # -- the numpy reference backend ----------------------------------------------
@@ -220,6 +288,110 @@ class NumpyBackend:
             unique_nz, inv_nz = _group_sorted(keys, order)
         return _assemble_groups(
             per_shot, nz_idx, has_zero, inverse, unique_nz, inv_nz
+        )
+
+    def bp_min_sum(
+        self, graph: TannerGraph, syndromes: np.ndarray, max_iterations: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batched normalized min-sum BP.
+
+        ``syndromes``: (shots, rows).  Returns (hard_decisions (shots,
+        cols) uint8, converged (shots,) bool, posterior_llr (shots, cols)
+        float32).  Shots that satisfy their syndrome are compacted out of
+        the message arrays, so the cost tracks the hard shots only.
+        """
+        syndromes = np.asarray(syndromes, dtype=np.uint8)
+        shots = syndromes.shape[0]
+        num_errors = len(graph.prior)
+        edge_row, edge_col = graph.edge_row, graph.edge_col
+        row_starts = graph.row_ptr[:-1]
+        cols_present = np.nonzero(np.diff(graph.col_ptr))[0]
+        col_starts = graph.col_ptr[cols_present]
+        scale = np.float32(0.8)  # standard min-sum normalization
+        prior_edge = graph.prior[edge_col][:, None]
+
+        active = np.arange(shots)
+        var_to_check = np.tile(prior_edge, (1, shots))
+        sign_target = (1.0 - 2.0 * syndromes.T[edge_row]).astype(np.float32)
+
+        decisions = np.zeros((shots, num_errors), dtype=np.uint8)
+        posterior = np.tile(graph.prior[None, :], (shots, 1))
+        converged = np.zeros(shots, dtype=bool)
+
+        for _ in range(max_iterations):
+            # Check-node update: extrinsic sign and min|.| per row.
+            mag = np.abs(var_to_check)
+            neg = var_to_check < 0
+            row_neg = np.add.reduceat(neg.astype(np.int8), row_starts, axis=0)
+            ext_neg = (row_neg[edge_row] - neg) & 1
+            row_min1 = np.minimum.reduceat(mag, row_starts, axis=0)
+            at_min = mag == row_min1[edge_row]
+            # Ties at the minimum are counted wide: a narrow count wraps
+            # on a row of degree >= 257 (only parity survives a wrap).
+            min_count = np.add.reduceat(at_min, row_starts, axis=0, dtype=np.int64)
+            mag_no_min = np.where(at_min, np.float32(np.inf), mag)
+            row_min2 = np.minimum.reduceat(mag_no_min, row_starts, axis=0)
+            row_min2 = np.where(min_count > 1, row_min1, row_min2)
+            ext_min = np.where(
+                at_min & (min_count[edge_row] == 1),
+                row_min2[edge_row],
+                row_min1[edge_row],
+            )
+            ext_min = np.minimum(ext_min, np.float32(_LLR_CLIP))
+            check_to_var = scale * sign_target * (1.0 - 2.0 * ext_neg) * ext_min
+            # Variable-node update.
+            ctv_col = check_to_var[graph.col_order]
+            col_sum = np.zeros((num_errors, ctv_col.shape[1]), dtype=np.float32)
+            col_sum[cols_present] = np.add.reduceat(ctv_col, col_starts, axis=0)
+            post = graph.prior[None, :] + col_sum.T
+            var_to_check = prior_edge + col_sum[edge_col] - check_to_var
+            # Hard decision + convergence; compact out converged shots.
+            dec = (post < 0).astype(np.uint8)
+            syn_hat = np.bitwise_xor.reduceat(dec.T[edge_col], row_starts, axis=0).T
+            ok = (syn_hat == syndromes[active]).all(axis=1)
+            decisions[active] = dec
+            posterior[active] = post
+            converged[active] = ok
+            if ok.all():
+                break
+            if ok.any():
+                keep = ~ok
+                active = active[keep]
+                var_to_check = var_to_check[:, keep]
+                sign_target = (1.0 - 2.0 * syndromes[active].T[edge_row]).astype(
+                    np.float32
+                )
+        return decisions, converged, posterior
+
+    def osd_basis(
+        self,
+        h_cols: np.ndarray,
+        num_rows: int,
+        order: np.ndarray,
+        syndrome: np.ndarray,
+        rank: int | None,
+        n_free: int,
+    ) -> OsdBasis:
+        """Row-reduce ``[H[:, order] | syndrome]`` (``H`` given as packed
+        columns ``h_cols``) and read the basis off the RREF.  The
+        reduction stops on its own, so ``rank`` is not needed here."""
+        num_cols = len(order)
+        h_dense = unpack_rows(h_cols, num_rows).T
+        permuted = np.concatenate(
+            [h_dense[:, order], np.asarray(syndrome, dtype=np.uint8)[:, None]], axis=1
+        )
+        aug = BitMatrix.from_dense(permuted)
+        pivots = aug.row_reduce(ncols=num_cols)
+        reduced = aug.to_dense()
+        found = len(pivots)
+        consistent = not np.any(reduced[found:, -1])
+        pivot_set = set(pivots)
+        free = [c for c in range(num_cols) if c not in pivot_set][:n_free]
+        return OsdBasis(
+            pivots=np.array(pivots, dtype=np.int64),
+            solution=reduced[:found, -1] if consistent else None,
+            free=np.array(free, dtype=np.int64),
+            combos=reduced[:found, free].T,
         )
 
 
@@ -306,7 +478,7 @@ def _compile_native() -> ctypes.CDLL | None:
         stat = os.stat(compiler)
     except OSError:
         return None
-    flags = ["-O3", "-shared", "-fPIC"]
+    flags = ["-O3", "-ffp-contract=off", "-shared", "-fPIC"]
     identity = [os.path.realpath(compiler), str(stat.st_size), str(stat.st_mtime_ns)]
     tag = hashlib.sha256(source + " ".join(flags + identity).encode()).hexdigest()
     cache_dir = _native_cache_dir()
@@ -328,6 +500,11 @@ def _compile_native() -> ctypes.CDLL | None:
         return ctypes.CDLL(so_path)
     except OSError:
         return None
+
+
+def _ptr(arr: np.ndarray, ctype):
+    """A C pointer to a contiguous array's data (callers fix the layout)."""
+    return arr.ctypes.data_as(ctypes.POINTER(ctype))
 
 
 class CNativeBackend(NumpyBackend):
@@ -355,10 +532,44 @@ class CNativeBackend(NumpyBackend):
         lib.repro_popcount_rows.restype = None
         lib.repro_fold_rows.argtypes = [u64p, ctypes.c_long, ctypes.c_long, u64p]
         lib.repro_fold_rows.restype = None
-
-    @staticmethod
-    def _u64p(arr: np.ndarray):
-        return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_uint64))
+        u8p = ctypes.POINTER(ctypes.c_uint8)
+        f32p = ctypes.POINTER(ctypes.c_float)
+        f64p = ctypes.POINTER(ctypes.c_double)
+        long_ = ctypes.c_long
+        lib.repro_bp_min_sum.argtypes = [
+            u8p,
+            long_,
+            long_,
+            long_,
+            i64p,
+            i64p,
+            i64p,
+            i64p,
+            f32p,
+            long_,
+            f64p,
+            f32p,
+            u8p,
+            u8p,
+        ]
+        lib.repro_bp_min_sum.restype = None
+        lib.repro_osd_basis.argtypes = [
+            u64p,
+            long_,
+            long_,
+            i64p,
+            u64p,
+            long_,
+            long_,
+            long_,
+            u64p,
+            i64p,
+            u8p,
+            i64p,
+            u8p,
+            i64p,
+        ]
+        lib.repro_osd_basis.restype = None
 
     def transpose_words(self, words: np.ndarray, ncols: int) -> np.ndarray:
         words = _check_words_2d(words)
@@ -370,7 +581,10 @@ class CNativeBackend(NumpyBackend):
             padded[:m, :nwords] = words
         out = np.empty((nwords_eff * _WORD, row_blocks), dtype=np.uint64)
         self._lib.repro_transpose_words(
-            self._u64p(padded), self._u64p(out), row_blocks, nwords_eff
+            _ptr(padded, ctypes.c_uint64),
+            _ptr(out, ctypes.c_uint64),
+            row_blocks,
+            nwords_eff,
         )
         return np.ascontiguousarray(out[:ncols])
 
@@ -383,10 +597,10 @@ class CNativeBackend(NumpyBackend):
         arr = np.ascontiguousarray(arr)
         out = np.empty(arr.shape[0], dtype=np.int64)
         self._lib.repro_popcount_rows(
-            self._u64p(arr),
+            _ptr(arr, ctypes.c_uint64),
             arr.shape[0],
             arr.shape[1],
-            out.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
+            _ptr(out, ctypes.c_int64),
         )
         if axis is None:
             return int(out.sum())
@@ -396,7 +610,10 @@ class CNativeBackend(NumpyBackend):
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         out = np.empty(keys.shape[0], dtype=np.uint64)
         self._lib.repro_fold_rows(
-            self._u64p(keys), keys.shape[0], keys.shape[1], self._u64p(out)
+            _ptr(keys, ctypes.c_uint64),
+            keys.shape[0],
+            keys.shape[1],
+            _ptr(out, ctypes.c_uint64),
         )
         return out
 
@@ -404,6 +621,82 @@ class CNativeBackend(NumpyBackend):
         self, per_shot: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         return _unique_hashfold(per_shot, self._fold_rows)
+
+    def bp_min_sum(
+        self, graph: TannerGraph, syndromes: np.ndarray, max_iterations: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        syndromes = np.ascontiguousarray(syndromes, dtype=np.uint8)
+        shots, rows = syndromes.shape
+        if rows != len(graph.row_ptr) - 1:
+            raise ValueError(f"expected {len(graph.row_ptr) - 1} bits per syndrome")
+        cols = len(graph.prior)
+        posterior = np.empty((shots, cols), dtype=np.float32)
+        decisions = np.empty((shots, cols), dtype=np.uint8)
+        converged = np.empty(shots, dtype=np.uint8)
+        work = np.empty(2 * len(graph.edge_col), dtype=np.float64)
+        self._lib.repro_bp_min_sum(
+            _ptr(syndromes, ctypes.c_uint8),
+            shots,
+            rows,
+            cols,
+            _ptr(graph.row_ptr, ctypes.c_int64),
+            _ptr(graph.edge_col, ctypes.c_int64),
+            _ptr(graph.col_ptr, ctypes.c_int64),
+            _ptr(graph.col_order, ctypes.c_int64),
+            _ptr(graph.prior, ctypes.c_float),
+            max_iterations,
+            _ptr(work, ctypes.c_double),
+            _ptr(posterior, ctypes.c_float),
+            _ptr(decisions, ctypes.c_uint8),
+            _ptr(converged, ctypes.c_uint8),
+        )
+        return decisions, converged.astype(bool), posterior
+
+    def osd_basis(
+        self,
+        h_cols: np.ndarray,
+        num_rows: int,
+        order: np.ndarray,
+        syndrome: np.ndarray,
+        rank: int | None,
+        n_free: int,
+    ) -> OsdBasis:
+        h_cols = _check_words_2d(h_cols)
+        cols, nwords = h_cols.shape
+        order = np.ascontiguousarray(order, dtype=np.int64)
+        if order.shape != (cols,) or len(syndrome) != num_rows:
+            raise ValueError("order must list every column, syndrome every row")
+        packed = pack_rows(np.asarray(syndrome)[None, :])
+        cap = min(num_rows, cols)
+        work = np.empty(2 * _WORD * nwords * nwords + 3 * nwords, dtype=np.uint64)
+        pivots = np.empty(cap, dtype=np.int64)
+        solution = np.empty(cap, dtype=np.uint8)
+        free = np.empty(n_free, dtype=np.int64)
+        combos = np.zeros((n_free, cap), dtype=np.uint8)
+        counts = np.zeros(3, dtype=np.int64)
+        self._lib.repro_osd_basis(
+            _ptr(h_cols, ctypes.c_uint64),
+            cols,
+            nwords,
+            _ptr(order, ctypes.c_int64),
+            _ptr(packed, ctypes.c_uint64),
+            -1 if rank is None else rank,
+            n_free,
+            cap,
+            _ptr(work, ctypes.c_uint64),
+            _ptr(pivots, ctypes.c_int64),
+            _ptr(solution, ctypes.c_uint8),
+            _ptr(free, ctypes.c_int64),
+            _ptr(combos, ctypes.c_uint8),
+            _ptr(counts, ctypes.c_int64),
+        )
+        found, nfree, consistent = counts.tolist()
+        return OsdBasis(
+            pivots=pivots[:found],
+            solution=solution[:found] if consistent else None,
+            free=free[:nfree],
+            combos=combos[:nfree, :found],
+        )
 
 
 def _self_test(backend: NumpyBackend) -> bool:
@@ -421,11 +714,51 @@ def _self_test(backend: NumpyBackend) -> bool:
         keys = rng.integers(0, 4, size=(97, 2), dtype=np.uint64)
         got_u, got_inv = backend.unique_shot_words(keys)
         want_u, want_inv = ref.unique_shot_words(keys)
-        return (
+        if not (
             got_u.shape == want_u.shape
             and np.array_equal(got_u[got_inv], want_u[want_inv])
             and np.array_equal(got_u[got_inv], keys)
+        ):
+            return False
+        # BP and OSD on a random rank-deficient 12 x 24 check matrix (its
+        # last two rows are equal) whose first column has degree 10, so
+        # the column sum takes numpy's blocked path.
+        h = (rng.random((12, 24)) < 0.2).astype(np.uint8)
+        h[:10, 0] = 1
+        h[np.arange(11), 1 + np.arange(11)] = 1
+        h[11] = h[10]
+        rows, cols = np.nonzero(h)
+        graph = TannerGraph.from_edges(rows, cols, 12, rng.uniform(0.5, 6.0, 24))
+        syndromes = (rng.random((6, 12)) < 0.4).astype(np.uint8)
+        # And one iteration on a column whose three messages round
+        # differently when summed in order than numpy's pairwise way.
+        pairwise = TannerGraph.from_edges(
+            np.array([0, 0, 1, 1, 2, 2]),
+            np.array([0, 1, 0, 2, 0, 3]),
+            3,
+            np.float32([0.00015644815, 0.00019651184, 18.677338, 18.675581]),
         )
+        for g, syn, iterations in (
+            (graph, syndromes, 5),
+            (pairwise, np.uint8([[0, 0, 1]]), 1),
+        ):
+            for got, want in zip(
+                backend.bp_min_sum(g, syn, iterations),
+                ref.bp_min_sum(g, syn, iterations),
+            ):
+                if got.dtype != want.dtype or got.tobytes() != want.tobytes():
+                    return False
+        h_cols = pack_rows(np.ascontiguousarray(h.T))
+        order = rng.permutation(24)
+        for syndrome in (h[:, :5].sum(axis=1) % 2, np.eye(12, dtype=np.uint8)[11]):
+            got = backend.osd_basis(h_cols, 12, order, syndrome, None, 3)
+            want = ref.osd_basis(h_cols, 12, order, syndrome, None, 3)
+            if (got.solution is None) != (want.solution is None):
+                return False
+            for a, b in zip(got, want):
+                if a is not None and not np.array_equal(a, b):
+                    return False
+        return True
     except Exception:
         return False
 
@@ -537,6 +870,45 @@ def unique_shot_words(per_shot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _UNIQUE_CALLS.add()
     _BACKEND_CALLS.add()
     return _ACTIVE.unique_shot_words(per_shot)
+
+
+
+def bp_min_sum(
+    graph: TannerGraph, syndromes: np.ndarray, max_iterations: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalized min-sum BP on ``graph`` for each row of ``syndromes``.
+
+    Returns ``(decisions, converged, posterior)``: uint8 hard decisions
+    and float32 posterior LLRs, ``(shots, cols)`` each, from the first
+    iteration whose decisions reproduce the shot's syndrome (the last
+    iteration when none does), and a bool per shot.  With
+    ``max_iterations == 0`` these are zeros, ``False`` and the priors.
+    """
+    _BP_CALLS.add()
+    _BACKEND_CALLS.add()
+    return _ACTIVE.bp_min_sum(graph, syndromes, max_iterations)
+
+
+def osd_basis(
+    h_cols: np.ndarray,
+    num_rows: int,
+    order: np.ndarray,
+    syndrome: np.ndarray,
+    rank: int | None,
+    n_free: int,
+) -> OsdBasis:
+    """The greedy basis of H's columns taken in ``order`` (see
+    :class:`OsdBasis`), with the syndrome solved on it.
+
+    ``h_cols`` is ``(cols, ceil(num_rows/64))`` uint64: H's columns in
+    :func:`repro.gf2.bitmat.pack_rows` layout.  ``rank`` is ``rank(H)``
+    when known, so a backend may stop once it has that many pivots;
+    ``None`` walks every column.  ``n_free`` asks for the first non-pivot
+    columns and their pivot sums.
+    """
+    _OSD_CALLS.add()
+    _BACKEND_CALLS.add()
+    return _ACTIVE.osd_basis(h_cols, num_rows, order, syndrome, rank, n_free)
 
 
 set_backend(os.environ.get("REPRO_KERNELS", "auto"))

@@ -463,12 +463,23 @@ class TestCompactCacheDir:
 
 
 def test_summarize_cache_dir(tmp_path):
-    cache = _cache(tmp_path)
-    cache.insert(_keys(5), np.zeros((5, 2), dtype=np.uint8))
+    """Counts cache files and distinct entries.  Handles opened before
+    any of them writes (as forked workers are) each append the
+    syndromes they share, twice into the base file and again into a
+    writer shard; each syndrome counts once."""
+    keys = _keys(7)
+    values = np.zeros((7, 2), dtype=np.uint8)
+    first, second = _cache(tmp_path), _cache(tmp_path)
+    shard = _cache(tmp_path, writer_tag="1")
+    first.insert(keys[:5], values[:5])
+    second.insert(keys[:5], values[:5])
+    shard.insert(keys[3:], values[3:])
+    lines = sum(len(p.read_bytes().splitlines()) - 1 for p in tmp_path.iterdir())
+    assert lines == 14
     other = SyndromeCache(
         tmp_path, dem_key="b" * 64, namespace="other", key_bytes=8, value_bytes=1
     )
     other.insert(_keys(3, seed=9), np.zeros((3, 1), dtype=np.uint8))
     (tmp_path / "unrelated.txt").write_text("not a cache\n")
-    assert summarize_cache_dir(tmp_path) == {"files": 2, "entries": 8}
+    assert summarize_cache_dir(tmp_path) == {"files": 3, "entries": 10}
     assert summarize_cache_dir(tmp_path / "missing") == {"files": 0, "entries": 0}
