@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import gf2
-from ..gf2.bitmat import BitMatrix
-from ..gf2.kernels import popcount_u64
+from ..gf2.bitmat import BitMatrix, popcount_u64
 from .css import CSSCode
 
 

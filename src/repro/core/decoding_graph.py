@@ -15,26 +15,23 @@ from functools import cached_property
 
 import numpy as np
 
-from ..gf2.bitmat import unpack_rows
 from ..sim.dem import DetectorErrorModel, pack_bits
 
 
 class DecodingGraph:
     """Adjacency view of a DEM plus submatrix extraction.
 
-    Reads the DEM's packed signature rows: a closure is one packed
-    subset test over all errors, and the per-error / per-detector
-    adjacency lists are built only when a subgraph search asks for them.
+    Reads H's packed columns (:meth:`DetectorErrorModel.detector_words`):
+    a closure is one packed subset test over all errors, and the
+    per-error / per-detector adjacency lists are built only when a
+    subgraph search asks for them.
     """
 
     def __init__(self, dem: DetectorErrorModel):
         self.dem = dem
         self.num_errors = dem.num_errors
         self.num_detectors = dem.num_detectors
-        # Detector bits of each signature (observable bits masked off).
-        self._det_words = dem.signatures & pack_bits(
-            range(dem.num_detectors), dem.num_detectors + dem.num_observables
-        )
+        self._det_words = dem.detector_words()
         self._detected = self._det_words.any(axis=1)
 
     @cached_property
@@ -51,7 +48,7 @@ class DecodingGraph:
 
     def closure_errors(self, det_subset: set[int]) -> list[int]:
         """All errors whose entire detector support lies in ``det_subset``."""
-        outside = ~pack_bits(det_subset, self.dem.signatures.shape[1] * 64)
+        outside = ~pack_bits(det_subset, self._det_words.shape[1] * 64)
         inside = ~(self._det_words & outside).any(axis=1)
         return np.flatnonzero(inside & self._detected).tolist()
 
@@ -59,12 +56,11 @@ class DecodingGraph:
         self, det_subset: list[int], error_subset: list[int]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Dense (H', L') for the given syndrome rows / error columns."""
-        d, o = self.num_detectors, self.dem.num_observables
-        bits = unpack_rows(
-            self.dem.signatures[np.asarray(error_subset, dtype=np.int64)], d + o
+        dets, obs = self.dem.bits(
+            self.dem.signatures[np.asarray(error_subset, dtype=np.int64)]
         )
-        h = np.ascontiguousarray(bits[:, np.asarray(det_subset, dtype=np.int64)].T)
-        return h, np.ascontiguousarray(bits[:, d:].T)
+        h = np.ascontiguousarray(dets[:, np.asarray(det_subset, dtype=np.int64)].T)
+        return h, np.ascontiguousarray(obs.T)
 
 
 @dataclass

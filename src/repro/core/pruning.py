@@ -19,7 +19,6 @@ import numpy as np
 
 from ..circuits.schedule import Schedule
 from ..codes.css import CSSCode
-from ..gf2.bitmat import unpack_rows
 from ..sim.dem import DetectorErrorModel
 from .ambiguity import is_ambiguous
 from .changes import CandidateChange
@@ -72,8 +71,8 @@ def _transport_logical_error(
             # rejecting candidates (a diverged sibling would differ even
             # more from the original logical error).
             break
-    bits = unpack_rows(acc[None, :], new_dem.num_detectors + new_dem.num_observables)[0]
-    return bits[: new_dem.num_detectors], bits[new_dem.num_detectors :]
+    dets, obs = new_dem.bits(acc[None, :])
+    return dets[0], obs[0]
 
 
 def check_candidate(

@@ -14,11 +14,11 @@ Two decode entry points share one contract:
     sub-threshold error rates most shots repeat a small set of syndromes
     (the all-zero syndrome alone is frequently >90% of shots), so shots
     are grouped by their packed per-shot syndrome words
-    (:func:`~repro.sim.bitbatch.shot_words`), each distinct syndrome is
-    decoded exactly once, and predictions are scattered back into packed
-    observable words.  No dense ``(shots, num_detectors)`` array is ever
-    materialized; the dense minority that does get decoded is the unique
-    syndromes only.
+    (:meth:`~repro.sim.bitbatch.BitSampleBatch.shot_syndromes`), each
+    distinct syndrome is decoded exactly once, and predictions are
+    scattered back into packed observable words.  No dense ``(shots,
+    num_detectors)`` array is ever materialized; the dense minority that
+    does get decoded is the unique syndromes only.
 
 Subclasses override ``_decode_unique_packed`` (or the full packed entry
 point) to consume the deduplicated packed syndromes natively; the
@@ -43,9 +43,9 @@ from .. import obs
 from ..gf2.bitmat import unpack_rows
 from ..sim.bitbatch import (
     BitSampleBatch,
+    count_differing_shots,
     mask_shot_tail,
     num_shot_words,
-    popcount_words,
     scatter_unique,
     unique_shot_words,
 )
@@ -190,14 +190,9 @@ class Decoder(abc.ABC):
         if batch.num_observables == 0:
             return 0
         predicted = self.decode_batch_packed(batch)
-        mismatch = predicted.observables ^ batch.observables
-        failed_any = np.bitwise_or.reduce(mismatch, axis=0)
-        # Both operands keep the tail-bit invariant, but this count feeds
-        # stored logical error rates — re-assert it so a single garbage
-        # tail bit (e.g. from an externally built batch at a 63-shot
-        # chunk boundary) can never inflate the failure count.
-        mask_shot_tail(failed_any[None, :], batch.shots)
-        return int(popcount_words(failed_any))
+        return count_differing_shots(
+            predicted.observables, batch.observables, batch.shots
+        )
 
     def count_failures_dense(self, batch: BitSampleBatch) -> int:
         """Dense reference of :meth:`count_failures_packed`.

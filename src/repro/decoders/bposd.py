@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..gf2 import kernels
-from ..gf2.bitmat import pack_rows, unpack_rows
+from ..gf2.bitmat import unpack_rows
 from ..sim.dem import DetectorErrorModel
 from .base import Decoder
 
@@ -53,22 +53,21 @@ class BpOsdDecoder(Decoder):
         self.max_iterations = max_iterations
         self.osd = osd
         self.osd_order = osd_order
-        h, l = dem.check_matrices()
-        self.h = h.tocsr()
-        self.l = l.tocsr()
+        self.h, self.l = dem.check_matrices()
         probs = np.clip(dem.probabilities(), 1e-12, 0.5 - 1e-9)
         self.prior_llr = np.log((1 - probs) / probs)
 
-        # Edge list in CSR (row-major) order.  Every detector must touch
-        # at least one mechanism or the numpy kernel's segment reductions
+        # Edges in CSR (row-major) order.  Every detector must touch at
+        # least one mechanism or the numpy kernel's segment reductions
         # would silently misalign.
-        coo = self.h.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        row_counts = np.bincount(coo.row, minlength=dem.num_detectors)
+        row_counts = np.diff(self.h.indptr)
         if (row_counts == 0).any():
             raise ValueError("DEM has a detector with no incident errors")
         self.graph = kernels.TannerGraph.from_edges(
-            coo.row[order], coo.col[order], dem.num_detectors, self.prior_llr
+            np.repeat(np.arange(dem.num_detectors), row_counts),
+            self.h.indices,
+            dem.num_detectors,
+            self.prior_llr,
         )
         # OSD's packed columns of H and rank(H), built on first use.
         self._h_cols: np.ndarray | None = None
@@ -95,7 +94,7 @@ class BpOsdDecoder(Decoder):
         num_errors = self.dem.num_errors
         num_detectors = self.dem.num_detectors
         if self._h_cols is None:
-            self._h_cols = pack_rows(self.h.T.toarray())
+            self._h_cols = self.dem.detector_words()
             self._rank = len(
                 kernels.osd_basis(
                     self._h_cols,

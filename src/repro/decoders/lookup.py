@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ..gf2.bitmat import pack_rows, unpack_rows
+from ..gf2.bitmat import pack_rows
 from ..sim.dem import DetectorErrorModel
 from .base import Decoder
 
@@ -38,8 +38,7 @@ class LookupDecoder(Decoder):
         mass: dict[bytes, dict[bytes, float]] = {}
         probs = dem.probabilities()
         num_d, num_o = dem.num_detectors, dem.num_observables
-        bits = unpack_rows(dem.signatures, num_d + num_o)
-        det_cols, obs_cols = bits[:, :num_d], bits[:, num_d:]
+        det_cols, obs_cols = dem.bits()
 
         base = float(np.prod(1 - probs))
         indices = range(dem.num_errors)

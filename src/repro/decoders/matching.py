@@ -32,14 +32,8 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from ..gf2.bitmat import unpack_rows
-from ..sim.bitbatch import (
-    BitSampleBatch,
-    num_shot_words,
-    popcount_words,
-    scatter_unique,
-    shot_words,
-    unique_shot_words,
-)
+from ..gf2.kernels import popcount_words, transpose_words, unique_shot_words
+from ..sim.bitbatch import BitSampleBatch, num_shot_words, scatter_unique
 from ..sim.dem import DetectorErrorModel
 from .base import _DECODE_SHOTS, _DECODE_UNIQUE, Decoder
 
@@ -166,8 +160,8 @@ class MatchingDecoder(Decoder):
         """
         dem, nsub = self.dem, len(self.subset)
         self.boundary, n_nodes = nsub, nsub + 1
-        dense = unpack_rows(dem.signatures, dem.num_detectors + dem.num_observables)
-        bits = dense[:, self.subset]
+        dets, obs = dem.bits()
+        bits = dets[:, self.subset]
         counts = bits.sum(axis=1, dtype=np.int64)
         if (counts > 2).any():
             raise ValueError(
@@ -182,7 +176,7 @@ class MatchingDecoder(Decoder):
         u, v = cols[last - c + 1], np.where(c == 2, cols[last], nsub)
         flips = np.zeros_like(c)
         if self.observable < dem.num_observables:
-            flips = dense[touched, dem.num_detectors + self.observable]
+            flips = obs[touched, self.observable]
         p = np.clip(dem.probs[touched], 1e-15, 0.5 - 1e-12)
         weight = np.fromiter(map(math.log, ((1 - p) / p).tolist()), float, c.size)
         pair = u * n_nodes + v
@@ -341,7 +335,7 @@ class MatchingDecoder(Decoder):
         if shots == 0 or num_obs == 0:
             return BitSampleBatch(batch.detectors, observables, shots)
         sub_rows = batch.detectors[self.subset]
-        unique, inverse = unique_shot_words(shot_words(sub_rows, shots))
+        unique, inverse = unique_shot_words(transpose_words(sub_rows, shots))
         _DECODE_SHOTS.add(shots)
         _DECODE_UNIQUE.add(unique.shape[0])
         flips = self._decode_unique_cached(unique, 1)

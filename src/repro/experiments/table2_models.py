@@ -47,11 +47,8 @@ def run(
         graph = DecodingGraph(dem)
 
         # Global model: the full H / L matrices.
-        h_full, l_full = dem.check_matrices()
-        wcnf_global = build_maxsat_model(
-            np.asarray(h_full.todense(), dtype=np.uint8),
-            np.asarray(l_full.todense(), dtype=np.uint8),
-        )
+        h_full, l_full = (bits.T for bits in dem.bits())
+        wcnf_global = build_maxsat_model(h_full, l_full)
         stats = wcnf_global.stats()
         with obs.timed() as clock:
             outcome = MaxSatSolver(wcnf_global, timeout=global_timeout).solve()

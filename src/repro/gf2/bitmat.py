@@ -56,18 +56,6 @@ def unpack_rows(packed: np.ndarray, ncols: int) -> np.ndarray:
     return bits[:, :ncols].astype(np.uint8)
 
 
-def transpose_words(words: np.ndarray, ncols: int) -> np.ndarray:
-    """Transpose a bit-packed matrix without unpacking it.
-
-    Dispatches to the active kernel backend (:mod:`repro.gf2.kernels`,
-    where the vectorized numpy butterfly reference now lives); kept here
-    so existing imports and the packed-layout contract stay in one
-    obvious place next to :func:`pack_rows`.
-    """
-    return kernels.transpose_words(words, ncols)
-
-
-
 class BitMatrix:
     """A mutable GF(2) matrix with bit-packed rows.
 
@@ -244,7 +232,3 @@ class BitMatrix:
             raise ValueError("vector length must equal the number of columns")
         anded = self.words & xm.words[0]
         return (popcount_u64(anded).sum(axis=1) & 1).astype(np.uint8)
-
-
-# Last, because the kernel backends import this module's names.
-from . import kernels  # noqa: E402

@@ -36,8 +36,9 @@ import math
 
 import numpy as np
 
-from ..sim.bitbatch import BitSampleBatch, scatter_fires, xor_accumulate_csr
+from ..sim.bitbatch import BitSampleBatch
 from ..sim.dem import DetectorErrorModel
+from ..sim.sampler import DemSampler
 from .weights import WeightDistribution, log_weight_distribution
 
 __all__ = ["WeightStratifiedSampler"]
@@ -92,9 +93,7 @@ class WeightStratifiedSampler:
         self.dist = log_weight_distribution(self.probs, max_weight)
         self._jump = _jump_tables(self._log_p, self._log_q, self.dist)
         self._uniform_jump: list[np.ndarray | None] | None = None
-        h, l = dem.check_matrices()
-        self._h_rows = h.tocsr()
-        self._l_rows = l.tocsr()
+        self._packer = DemSampler(dem)
 
     # -- fire-level API ------------------------------------------------------
 
@@ -125,7 +124,7 @@ class WeightStratifiedSampler:
 
         Returns ``(shot_idx, mech_idx)`` fire-event arrays (mechanism
         indices in original DEM order, ``k`` per shot), the same format
-        :func:`~repro.sim.bitbatch.scatter_fires` consumes.
+        :meth:`~repro.sim.sampler.DemSampler.batch_from_fires` consumes.
         """
         if not 1 <= k <= self.max_weight:
             raise ValueError(f"weight {k} outside [1, {self.max_weight}]")
@@ -201,16 +200,7 @@ class WeightStratifiedSampler:
         """Like :meth:`sample_at_weight`, optionally with per-shot log
         importance weights (zeros in ``proportional`` mode)."""
         shot_idx, mech_idx = self.sample_fires_at_weight(k, shots, rng, mode=mode)
-        fires = scatter_fires(shot_idx, mech_idx, self.dem.num_errors, shots)
-        detectors = xor_accumulate_csr(
-            self._h_rows.indptr, self._h_rows.indices, fires, self.dem.num_detectors
-        )
-        observables = xor_accumulate_csr(
-            self._l_rows.indptr, self._l_rows.indices, fires, self.dem.num_observables
-        )
-        batch = BitSampleBatch(
-            detectors=detectors, observables=observables, shots=shots
-        )
+        batch = self._packer.batch_from_fires(shot_idx, mech_idx, shots)
         if not want_weights:
             return batch, None
         if mode == "proportional":

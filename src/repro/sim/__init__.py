@@ -5,7 +5,6 @@ from .bitbatch import (
     SampleBatch,
     pack_shots,
     scatter_unique,
-    shot_words,
     unique_shot_words,
     unpack_shots,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "BitSampleBatch",
     "pack_shots",
     "unpack_shots",
-    "shot_words",
     "unique_shot_words",
     "scatter_unique",
     "CircuitResult",

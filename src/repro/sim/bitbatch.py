@@ -7,9 +7,11 @@ so one row holds one detector across the whole batch.  XOR-accumulating
 error-mechanism columns then costs ``ceil(shots / 64)`` word ops per
 flip instead of ``shots`` bytes, and failure counting is a popcount.
 
-Packing bottoms out in :mod:`repro.gf2.bitmat`, the same kernels the
-elimination routines use; this module adds the shot-axis conventions
-(transpose, tail bits) plus the scatter/reduce kernels the samplers
+Packing is :func:`repro.gf2.bitmat.pack_rows`' layout along the shot
+axis.  The packed kernels (bit transpose, shot grouping, popcount) live
+in :mod:`repro.gf2.kernels` and are re-exported here under their own
+names; this module adds the shot-axis conventions (tail bits, the
+"shots that differ" count) plus the scatter/reduce steps the samplers
 need.  The dense ``SampleBatch`` lives here too and is kept as a thin
 unpacked view for code that wants plain ``(shots, k)`` uint8 arrays.
 
@@ -24,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..gf2 import kernels
-from ..gf2.bitmat import pack_rows, transpose_words, unpack_rows
+from ..gf2.bitmat import pack_rows, unpack_rows
+from ..gf2.kernels import popcount_words, transpose_words
+from ..gf2.kernels import unique_shot_words  # noqa: F401 -- re-exported
 
 # Bits per packed word along the shot axis — the alignment every packed
 # producer/consumer (and the chunk planners) share.
@@ -95,37 +98,6 @@ def xor_accumulate_csr(
     return out
 
 
-def shot_words(words: np.ndarray, shots: int) -> np.ndarray:
-    """Per-shot word view of packed rows: ``(k, ceil(shots/64))`` →
-    ``(shots, ceil(k/64))``.
-
-    Row ``s`` of the result packs the ``k`` bits of shot ``s`` into
-    words — a hashable per-shot key, computed as a blockwise bit
-    transpose (:func:`repro.gf2.bitmat.transpose_words`) so no dense
-    ``(shots, k)`` array is materialized.
-    """
-    return transpose_words(words, shots)
-
-
-def unique_shot_words(per_shot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group shots by their packed word key.
-
-    ``per_shot`` is ``(shots, nwords)`` uint64 (one key row per shot, as
-    produced by :func:`shot_words`).  Returns ``(unique, inverse)`` with
-    ``unique`` the distinct key rows and ``inverse[s]`` the group id of
-    shot ``s`` — the unique-syndrome batching core: decode ``unique``
-    once, scatter through ``inverse``.  Group *order* is arbitrary by
-    contract (kernel backends differ); group 0 is the all-zero key
-    whenever any shot has it.  Dispatches to the active kernel backend
-    (:mod:`repro.gf2.kernels`).
-    """
-    if np.asarray(per_shot).ndim != 2:
-        raise ValueError(
-            f"expected (shots, nwords) keys, got shape {np.asarray(per_shot).shape}"
-        )
-    return kernels.unique_shot_words(per_shot)
-
-
 def scatter_unique(values: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     """Scatter per-group rows back into packed per-shot bit rows.
 
@@ -136,14 +108,6 @@ def scatter_unique(values: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     — a handful of columns, never the detector count.
     """
     return pack_shots(np.ascontiguousarray(values)[inverse])
-
-
-def popcount_words(words: np.ndarray, axis: int | None = None) -> np.ndarray | int:
-    """Total set bits, optionally along one axis.
-
-    Dispatches to the active kernel backend (:mod:`repro.gf2.kernels`).
-    """
-    return kernels.popcount_words(words, axis)
 
 
 def mask_shot_tail(words: np.ndarray, shots: int) -> np.ndarray:
@@ -162,6 +126,22 @@ def mask_shot_tail(words: np.ndarray, shots: int) -> np.ndarray:
         keep = (np.uint64(1) << np.uint64(tail)) - np.uint64(1)
         words[:, -1] &= keep
     return words
+
+
+def count_differing_shots(a: np.ndarray, b: np.ndarray, shots: int) -> int:
+    """Shots in which packed rows ``a`` and ``b`` differ in any row.
+
+    XOR, OR-reduced across rows, tail bits masked, then one popcount.
+    Both sides usually keep the tail-bit invariant already, but these
+    counts feed stored logical error rates: a garbage tail bit (say,
+    from an externally built batch at a 63-shot chunk boundary) must
+    never inflate them.  No rows means no differences (and no popcount).
+    """
+    if a.shape[0] == 0:
+        return 0
+    differ = np.bitwise_or.reduce(a ^ b, axis=0)
+    mask_shot_tail(differ[None, :], shots)
+    return int(popcount_words(differ))
 
 
 @dataclass
@@ -228,7 +208,7 @@ class BitSampleBatch:
         The word-hash the packed decoders group shots by; computed by bit
         transpose, never via a dense ``(shots, num_detectors)`` array.
         """
-        return shot_words(self.detectors, self.shots)
+        return transpose_words(self.detectors, self.shots)
 
     # -- counting ------------------------------------------------------------
 
@@ -239,38 +219,3 @@ class BitSampleBatch:
     def observable_counts(self) -> np.ndarray:
         """Per-observable number of shots in which it flipped."""
         return popcount_words(self.observables, axis=1)
-
-    # -- combination ---------------------------------------------------------
-
-    @classmethod
-    def concat(cls, batches: "list[BitSampleBatch]") -> "BitSampleBatch":
-        """Concatenate batches along the shot axis.
-
-        Word-aligned (every batch but the last a multiple of 64 shots —
-        the chunk planner's convention) concatenation is a plain hstack;
-        otherwise fall back to an unpack/repack round trip.
-        """
-        if not batches:
-            raise ValueError("need at least one batch")
-        if len(batches) == 1:
-            return batches[0]
-        # A zero-shot batch still carries one (all-zero) word; hstacking it
-        # would shift later batches past the shot count.  Drop them first.
-        nonempty = [b for b in batches if b.shots > 0]
-        if len(nonempty) < 2:
-            return nonempty[0] if nonempty else batches[0]
-        batches = nonempty
-        aligned = all(b.shots % _WORD == 0 for b in batches[:-1])
-        total = sum(b.shots for b in batches)
-        if aligned:
-            return cls(
-                detectors=np.hstack([b.detectors for b in batches]),
-                observables=np.hstack([b.observables for b in batches]),
-                shots=total,
-            )
-        dense = [b.to_dense() for b in batches]
-        return cls(
-            detectors=pack_shots(np.vstack([d.detectors for d in dense])),
-            observables=pack_shots(np.vstack([d.observables for d in dense])),
-            shots=total,
-        )

@@ -156,6 +156,10 @@ class DetectorErrorModel:
       Paulis), ``fault_mechanism`` is the mechanism the fault merged
       into, or -1 for a fault that flips nothing.
 
+    The signature layout is read only here: consumers take H and L as
+    CSR (:meth:`check_matrices`), H's packed columns
+    (:meth:`detector_words`) or dense bits (:meth:`bits`).
+
     Hand-built models (no faults) come from :meth:`from_mechanisms`.
     """
 
@@ -243,7 +247,7 @@ class DetectorErrorModel:
         """Mechanism ``j``'s object view, without building the whole list."""
         if self._mechanisms is not None:
             return self._mechanisms[j]
-        det_bits, obs_bits = self._bits(self.signatures[j : j + 1])
+        det_bits, obs_bits = self.bits(self.signatures[j : j + 1])
         (dets,), (obs,) = _row_tuples(det_bits), _row_tuples(obs_bits)
         faults = np.flatnonzero(self.fault_mechanism == j).tolist()
         sources = tuple(self._source(f) for f in faults)
@@ -256,37 +260,50 @@ class DetectorErrorModel:
 
     def supports(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
         """Per mechanism: its detector tuple and its observable tuple."""
-        dets, obs = self._bits()
+        dets, obs = self.bits()
         return _row_tuples(dets), _row_tuples(obs)
 
-    def _bits(self, signatures: np.ndarray | None = None):
+    def bits(self, signatures: np.ndarray | None = None):
         """Unpacked uint8 detector bits and observable bits per row of
-        ``signatures`` (default: every mechanism's)."""
+        ``signatures`` (default: every mechanism's): the rows of H^T and
+        L^T."""
         d = self.num_detectors
         if signatures is None:
             signatures = self.signatures
         bits = unpack_rows(signatures, d + self.num_observables)
         return bits[:, :d], bits[:, d:]
 
+    def detector_words(self) -> np.ndarray:
+        """H's columns packed: ``(mechanisms, ceil(D/64))`` uint64 (at
+        least one word), each mechanism's signature with the observable
+        bits dropped, in :func:`repro.gf2.bitmat.pack_rows` layout."""
+        d = self.num_detectors
+        nwords = max(1, -(-d // 64))
+        return self.signatures[:, :nwords] & pack_bits(range(d), nwords * 64)
+
     def probabilities(self) -> np.ndarray:
         return self.probs.copy()
 
-    def check_matrices(self) -> tuple[sparse.csc_matrix, sparse.csc_matrix]:
-        """Sparse H (detectors x errors) and L (observables x errors)."""
+    def check_matrices(self) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+        """Sparse H (detectors x errors) and L (observables x errors), CSR:
+        row ``r`` lists the mechanisms that flip detector (observable)
+        ``r``, ascending."""
 
-        def csc(block: np.ndarray) -> sparse.csc_matrix:
-            cols, rows = np.nonzero(block)
-            return sparse.csc_matrix(
-                (np.ones(len(rows), dtype=np.uint8), (rows, cols)),
+        def csr(block: np.ndarray) -> sparse.csr_matrix:
+            rows, cols = np.nonzero(block.T)
+            indptr = np.zeros(block.shape[1] + 1, dtype=np.int32)
+            np.cumsum(np.bincount(rows, minlength=block.shape[1]), out=indptr[1:])
+            return sparse.csr_matrix(
+                (np.ones(len(cols), dtype=np.uint8), cols.astype(np.int32), indptr),
                 shape=(block.shape[1], self.num_errors),
             )
 
-        dets, obs = self._bits()
-        return csc(dets), csc(obs)
+        dets, obs = self.bits()
+        return csr(dets), csr(obs)
 
     def undetectable_logical_mechanisms(self) -> list[ErrorMechanism]:
         """Mechanisms that flip an observable but no detector (d_eff = 1!)."""
-        dets, obs = self._bits()
+        dets, obs = self.bits()
         hits = obs.any(axis=1) & ~dets.any(axis=1)
         return [self.mechanism(j) for j in np.flatnonzero(hits).tolist()]
 

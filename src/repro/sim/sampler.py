@@ -8,12 +8,15 @@ indices, so the cost is O(E + total_fires) instead of O(E * shots).
 
 The hot path is bit-packed (:mod:`repro.sim.bitbatch`): fires are
 scattered into per-mechanism shot rows of uint64 words and each
-detector row is the word-wise XOR of its mechanisms' rows, so the
-accumulation never materializes a dense ``(shots, detectors)`` array.
-``sample`` returns the dense :class:`SampleBatch` as a thin unpacking
-view of the packed batch; ``sample_dense`` keeps the original dense
-sparse-matmul path as an independent reference implementation for the
-cross-simulator litmus tests and benchmarks.
+detector row is the word-wise XOR of its mechanisms' rows, read off the
+DEM's CSR check matrices, so the accumulation never materializes a
+dense ``(shots, detectors)`` array.  :meth:`DemSampler.batch_from_fires`
+is that fires-to-batch step for any fire list; the fixed-weight sampler
+(:mod:`repro.rareevent.sampler`) feeds it its own fires.  ``sample``
+returns the dense :class:`SampleBatch` as a thin unpacking view of the
+packed batch; ``sample_dense`` keeps the dense sparse-matmul path as an
+independent reference implementation for the cross-simulator litmus
+tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -36,14 +39,10 @@ class DemSampler:
 
     def __init__(self, dem: DetectorErrorModel):
         self.dem = dem
+        # CSR, one row per detector / observable: a row's mechanisms are
+        # the shot rows its packed accumulation XORs together.
         self.h, self.l = dem.check_matrices()
         self.probs = dem.probabilities()
-        # CSR with rows = detectors/observables (packed accumulation).
-        self.h_rows = self.h.tocsr()
-        self.l_rows = self.l.tocsr()
-        # CSR of the transposed matrices: rows = mechanisms (dense path).
-        self.h_t = self.h.T.tocsr()
-        self.l_t = self.l.T.tocsr()
 
     # -- fire generation (shared by every path) ------------------------------
 
@@ -71,6 +70,22 @@ class DemSampler:
 
     # -- packed hot path -----------------------------------------------------
 
+    def batch_from_fires(
+        self, shot_idx: np.ndarray, mech_idx: np.ndarray, shots: int
+    ) -> BitSampleBatch:
+        """The packed batch of a fire-event list: every shot's detector
+        and observable bits are the XOR of its fired mechanisms' columns."""
+        fires = scatter_fires(shot_idx, mech_idx, self.dem.num_errors, shots)
+        return BitSampleBatch(
+            detectors=xor_accumulate_csr(
+                self.h.indptr, self.h.indices, fires, self.dem.num_detectors
+            ),
+            observables=xor_accumulate_csr(
+                self.l.indptr, self.l.indices, fires, self.dem.num_observables
+            ),
+            shots=shots,
+        )
+
     def sample_packed(
         self, shots: int, rng: np.random.Generator | None = None
     ) -> BitSampleBatch:
@@ -79,14 +94,7 @@ class DemSampler:
         shot_idx, mech_idx = self._sample_fires(shots, rng)
         _SAMPLE_SHOTS.add(shots)
         _SAMPLE_FIRES.add(len(shot_idx))
-        fires = scatter_fires(shot_idx, mech_idx, self.dem.num_errors, shots)
-        detectors = xor_accumulate_csr(
-            self.h_rows.indptr, self.h_rows.indices, fires, self.dem.num_detectors
-        )
-        observables = xor_accumulate_csr(
-            self.l_rows.indptr, self.l_rows.indices, fires, self.dem.num_observables
-        )
-        return BitSampleBatch(detectors=detectors, observables=observables, shots=shots)
+        return self.batch_from_fires(shot_idx, mech_idx, shots)
 
     def sample(self, shots: int, rng: np.random.Generator | None = None) -> SampleBatch:
         """Dense view of :meth:`sample_packed` (backward-compatible API)."""
@@ -109,29 +117,9 @@ class DemSampler:
             (np.ones(len(shot_idx), dtype=np.int64), (shot_idx, mech_idx)),
             shape=(shots, self.dem.num_errors),
         )
-        return self._dense_from_fires(fires)
-
-    def _dense_from_fires(self, fires: sparse.csr_matrix) -> SampleBatch:
-        detectors = np.asarray(fires.dot(self.h_t).todense(), dtype=np.int64) % 2
-        observables = np.asarray(fires.dot(self.l_t).todense(), dtype=np.int64) % 2
+        detectors = np.asarray(fires.dot(self.h.T).todense(), dtype=np.int64) % 2
+        observables = np.asarray(fires.dot(self.l.T).todense(), dtype=np.int64) % 2
         return SampleBatch(
             detectors=detectors.astype(np.uint8),
             observables=observables.astype(np.uint8),
         )
-
-    def sample_errors(
-        self, shots: int, rng: np.random.Generator | None = None
-    ) -> tuple[sparse.csr_matrix, SampleBatch]:
-        """Sample returning also the raw error pattern (for decoder tests).
-
-        Uses the same sparse binomial-fires draw as :meth:`sample`, so it
-        scales O(E + total_fires) instead of materializing a dense
-        ``(shots, num_errors)`` random matrix.
-        """
-        rng = rng or np.random.default_rng()
-        shot_idx, mech_idx = self._sample_fires(shots, rng)
-        fires = sparse.csr_matrix(
-            (np.ones(len(shot_idx), dtype=np.int64), (shot_idx, mech_idx)),
-            shape=(shots, self.dem.num_errors),
-        )
-        return fires, self._dense_from_fires(fires)

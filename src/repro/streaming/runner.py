@@ -27,7 +27,7 @@ import numpy as np
 from .. import obs
 from ..decoders.base import Decoder
 from ..decoders.metrics import make_decoder
-from ..sim.bitbatch import mask_shot_tail, popcount_words
+from ..sim.bitbatch import count_differing_shots
 from ..sim.dem import DetectorErrorModel
 from ..sim.sampler import DemSampler
 from .rounds import RoundLayout, RoundStream
@@ -234,7 +234,10 @@ def stream_decode(
         report.elapsed_s = time.perf_counter() - t0
         report.commit_count = len(windowed.commits)
         report.revised_shots = windowed.revised_shots
-        report.failures = _count_failures(committed.observables, batch)
+        # Shots whose committed correction mispredicts any observable.
+        report.failures = count_differing_shots(
+            committed.observables, batch.observables, batch.shots
+        )
         if verify_offline:
             offline = dec.decode_batch_packed(batch)
             report.matches_offline = bool(
@@ -246,16 +249,6 @@ def stream_decode(
             failures=report.failures,
         )
     return report
-
-
-def _count_failures(corrections: np.ndarray, batch) -> int:
-    """Shots whose committed correction mispredicts any observable."""
-    if corrections.shape[0] == 0:
-        return 0
-    mismatch = corrections ^ batch.observables
-    failed_any = np.bitwise_or.reduce(mismatch, axis=0)
-    mask_shot_tail(failed_any[None, :], batch.shots)
-    return int(popcount_words(failed_any))
 
 
 __all__ = ["StreamReport", "stream_decode"]

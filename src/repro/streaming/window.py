@@ -34,12 +34,7 @@ import numpy as np
 
 from .. import obs
 from ..decoders.base import Decoder
-from ..sim.bitbatch import (
-    BitSampleBatch,
-    mask_shot_tail,
-    num_shot_words,
-    popcount_words,
-)
+from ..sim.bitbatch import BitSampleBatch, count_differing_shots, num_shot_words
 from .rounds import RoundLayout, SyndromeRound
 
 _COMMIT_S = obs.histogram("stream.commit_s")
@@ -170,11 +165,8 @@ class WindowedDecoder:
         )
         corrections = self.decoder.decode_batch_packed(batch).observables
         revised = 0
-        if self._corrections is not None and self._corrections.size:
-            changed = self._corrections ^ corrections
-            changed_any = np.bitwise_or.reduce(changed, axis=0)
-            mask_shot_tail(changed_any[None, :], self.shots)
-            revised = int(popcount_words(changed_any))
+        if self._corrections is not None:
+            revised = count_differing_shots(self._corrections, corrections, self.shots)
         self._corrections = corrections
         first = self._committed
         self._committed += rounds

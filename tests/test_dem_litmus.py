@@ -24,6 +24,7 @@ from repro.circuits import build_memory_experiment, nz_schedule
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import register_noise_gate, unregister_noise_gate
 from repro.codes import rotated_surface_code
+from repro.gf2 import unpack_rows
 from repro.noise import DeviceProfile, DriftSchedule, NoiseSpec
 from repro.sim import DetectorErrorModel, ErrorMechanism, extract_dem
 
@@ -238,13 +239,21 @@ class TestArraysAndViews:
             pairs = [
                 (r, j) for j, m in enumerate(dem.mechanisms) for r in getattr(m, field)
             ]
-            want = sparse.csc_matrix(
+            want = sparse.csr_matrix(
                 (np.ones(len(pairs), dtype=np.uint8), tuple(zip(*pairs))),
                 shape=(rows, dem.num_errors),
             )
+            assert matrix.format == "csr"
             assert matrix.dtype == want.dtype
             np.testing.assert_array_equal(matrix.indptr, want.indptr)
             np.testing.assert_array_equal(matrix.indices, want.indices)
+        # H's packed columns: one row per mechanism, detector bits only.
+        words = dem.detector_words()
+        assert words.shape == (dem.num_errors, -(-dem.num_detectors // 64))
+        np.testing.assert_array_equal(
+            unpack_rows(words, words.shape[1] * 64),
+            np.pad(h.T.toarray(), ((0, 0), (0, words.shape[1] * 64 - h.shape[0]))),
+        )
 
     def test_mechanisms_are_built_once_and_frozen(self, dem):
         assert dem.mechanisms is dem.mechanisms

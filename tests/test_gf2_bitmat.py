@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gf2 import BitMatrix, pack_rows, unpack_rows
-from repro.gf2.bitmat import transpose_words
+from repro.gf2.kernels import transpose_words
 
 
 def random_matrix(rng, m, n, density=0.5):

@@ -151,15 +151,6 @@ class TestPackedDenseBitIdentity:
         b = sampler.sample_packed(300, np.random.default_rng(7)).to_dense()
         assert_batches_equal(a, b)
 
-    def test_sample_errors_matches_sample(self):
-        """After the sparse-fires fix, sample_errors draws the identical
-        fire pattern as sample for the same RNG state."""
-        circ = random_clifford_noise_circuit(np.random.default_rng(5))
-        sampler = DemSampler(extract_dem(circ))
-        _, via_errors = sampler.sample_errors(400, np.random.default_rng(9))
-        direct = sampler.sample(400, np.random.default_rng(9))
-        assert_batches_equal(via_errors, direct)
-
 
 class TestCrossSimulatorMarginals:
     """FrameSimulator and DemSampler must tell the same statistical story."""
@@ -468,25 +459,4 @@ class TestBitBatchRepresentation:
         )
         np.testing.assert_array_equal(
             packed.observable_counts(), dense.observables.sum(axis=0)
-        )
-
-    @pytest.mark.parametrize("sizes", [(128, 64, 37), (100, 30)])
-    def test_concat(self, sizes):
-        """Word-aligned and unaligned concatenation agree with dense."""
-        rng = np.random.default_rng(2)
-        parts = [
-            SampleBatch(
-                detectors=(rng.random((n, 4)) < 0.3).astype(np.uint8),
-                observables=(rng.random((n, 1)) < 0.3).astype(np.uint8),
-            )
-            for n in sizes
-        ]
-        merged = BitSampleBatch.concat(
-            [BitSampleBatch.from_dense(p) for p in parts]
-        ).to_dense()
-        np.testing.assert_array_equal(
-            merged.detectors, np.vstack([p.detectors for p in parts])
-        )
-        np.testing.assert_array_equal(
-            merged.observables, np.vstack([p.observables for p in parts])
         )

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.circuits import Circuit, build_memory_experiment, nz_schedule, poor_schedule
 from repro.codes import rotated_surface_code
@@ -199,7 +200,15 @@ class TestSampler:
         exp = build_memory_experiment(code, nz_schedule(code), rounds=2)
         dem = extract_dem(NoiseModel(p=5e-3).apply(exp.circuit))
         sampler = DemSampler(dem)
-        fires, batch = sampler.sample_errors(500, np.random.default_rng(1))
+        # The same RNG state draws the same fires for both calls.
+        shot_idx, mech_idx = sampler._sample_fires(500, np.random.default_rng(1))
+        batch = sampler.sample_packed(500, np.random.default_rng(1)).to_dense()
+        fires = sparse.csr_matrix(
+            (np.ones(len(shot_idx), dtype=np.int64), (shot_idx, mech_idx)),
+            shape=(500, dem.num_errors),
+        )
         h, l_mat = dem.check_matrices()
-        det = np.asarray(fires.dot(h.T.tocsr()).todense()) % 2
+        det = np.asarray(fires.dot(h.T).todense()) % 2
+        obs = np.asarray(fires.dot(l_mat.T).todense()) % 2
         assert np.array_equal(det.astype(np.uint8), batch.detectors)
+        assert np.array_equal(obs.astype(np.uint8), batch.observables)

@@ -16,11 +16,11 @@ from repro.decoders import MatchingDecoder, detector_subset_for_basis
 from repro.decoders.matching import _pairings
 from repro.decoders.metrics import dem_for
 from repro.gf2.bitmat import pack_rows, unpack_rows
+from repro.gf2.kernels import transpose_words
 from repro.noise import NoiseModel
 from repro.sim import DemSampler
 from repro.sim.bitbatch import (
     scatter_unique,
-    shot_words,
     unique_shot_words,
     unpack_shots,
 )
@@ -35,7 +35,7 @@ class TestShotWords:
         for shots, k in [(63, 5), (64, 5), (65, 5), (200, 70), (1, 1)]:
             dense = (rng.random((shots, k)) < 0.2).astype(np.uint8)
             packed = pack_rows(np.ascontiguousarray(dense.T))  # (k, shot words)
-            keys = shot_words(packed, shots)
+            keys = transpose_words(packed, shots)
             assert keys.shape == (shots, max(1, (k + 63) // 64))
             # Row s of the keys is shot s's syndrome, packed.
             assert np.array_equal(unpack_rows(keys, k), dense)
