@@ -1,10 +1,12 @@
-/* Native kernels for the packed-bit hot spots and the BP+OSD decoder.
+/* Native kernels for the packed-bit hot spots, the BP+OSD decoder and
+ * the sampler's shot draw.
  *
  * Compiled at runtime by repro.gf2.kernels (`cc -O3 -ffp-contract=off
  * -shared -fPIC`) and loaded through ctypes — no build step, no new
  * dependency; if no compiler is available the pure-numpy backend takes
  * over.  Every function here is bit-identical to its numpy reference
- * (pinned by tests/test_kernels.py and tests/test_bposd_kernels.py).
+ * (pinned by tests/test_kernels.py, tests/test_bposd_kernels.py and
+ * tests/test_sample_fires_kernel.py).
  * The BP kernel reproduces numpy's floating-point operations one for
  * one, so the compiler must not fuse a multiply and an add into an FMA:
  * hence -ffp-contract=off.
@@ -374,4 +376,91 @@ void repro_osd_basis(const uint64_t *hcols, long cols, long nwords,
   counts[0] = rank;
   counts[1] = nfree;
   counts[2] = consistent;
+}
+
+/* Shot indices of the sampler's fire events, drawn exactly as numpy's
+ * Generator.choice(pop, size=counts[m], replace=False) draws them, one
+ * mechanism after another from the caller's generator.
+ *
+ * bitgen_t is numpy's C bit-generator interface (numpy/random/bitgen.h),
+ * reached through BitGenerator.ctypes.bit_generator; the caller holds
+ * the generator's lock.  Bounded draws are numpy's
+ * random_bounded_uint64(bitgen, 0, rng, 0, 0) for rng < 2**32: nothing
+ * for rng == 0, one raw word for rng == 2**32 - 1, else Lemire's
+ * rejection method on next_uint32.
+ *
+ * Floyd path (pop <= 10000 or size <= pop / 50): for j in pop-size ..
+ * pop-1 take a draw v in [0, j], or j itself when v was already taken,
+ * then shuffle the size results (numpy's _shuffle_int with first = 1).
+ * `marks` (pop bytes, zero on entry and on return) stands in for
+ * numpy's hash set.  Tail path (otherwise): shuffle positions pop-1
+ * down to max(pop-size, 1) of arange(pop) in `perm` (pop int64) and
+ * take the last size entries.
+ *
+ * out receives sum(counts) indices, mechanism after mechanism.
+ */
+typedef struct {
+  void *state;
+  uint64_t (*next_uint64)(void *st);
+  uint32_t (*next_uint32)(void *st);
+  double (*next_double)(void *st);
+  uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+static uint64_t bounded_draw(bitgen_t *bitgen, uint64_t rng) {
+  if (rng == 0) {
+    return 0;
+  }
+  if (rng == 0xFFFFFFFFULL) {
+    return bitgen->next_uint32(bitgen->state);
+  }
+  const uint32_t rng_excl = (uint32_t)rng + 1;
+  uint64_t m = (uint64_t)bitgen->next_uint32(bitgen->state) * rng_excl;
+  uint32_t leftover = (uint32_t)m;
+  if (leftover < rng_excl) {
+    const uint32_t threshold = (UINT32_MAX - (uint32_t)rng) % rng_excl;
+    while (leftover < threshold) {
+      m = (uint64_t)bitgen->next_uint32(bitgen->state) * rng_excl;
+      leftover = (uint32_t)m;
+    }
+  }
+  return m >> 32;
+}
+
+static void shuffle_tail(bitgen_t *bitgen, int64_t *data, int64_t n,
+                         int64_t first) {
+  for (int64_t i = n - 1; i >= first; i--) {
+    const int64_t j = (int64_t)bounded_draw(bitgen, (uint64_t)i);
+    const int64_t t = data[j];
+    data[j] = data[i];
+    data[i] = t;
+  }
+}
+
+void repro_sample_fires(bitgen_t *bitgen, int64_t pop, const int64_t *counts,
+                        long n, uint8_t *marks, int64_t *perm, int64_t *out) {
+  for (long m = 0; m < n; m++) {
+    const int64_t size = counts[m];
+    if (pop <= 10000 || size <= pop / 50) {
+      for (int64_t j = pop - size; j < pop; j++) {
+        int64_t v = (int64_t)bounded_draw(bitgen, (uint64_t)j);
+        if (marks[v]) {
+          v = j;
+        }
+        marks[v] = 1;
+        out[j - (pop - size)] = v;
+      }
+      shuffle_tail(bitgen, out, size, 1);
+      for (int64_t k = 0; k < size; k++) {
+        marks[out[k]] = 0;
+      }
+    } else {
+      for (int64_t k = 0; k < pop; k++) {
+        perm[k] = k;
+      }
+      shuffle_tail(bitgen, perm, pop, pop - size > 1 ? pop - size : 1);
+      memcpy(out, perm + (pop - size), size * sizeof(int64_t));
+    }
+    out += size;
+  }
 }

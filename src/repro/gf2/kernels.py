@@ -21,26 +21,40 @@ all of its time in two loops:
     The reliability-ordered column basis of OSD: pivots, the syndrome's
     solution on them, and the pivot sums of the first free columns.
 
+and the Monte-Carlo sampler (:class:`repro.sim.DemSampler`) spends most
+of a batch drawing which shots each fired mechanism hits:
+
+``sample_fires``
+    One ``Generator.choice(shots, size=c, replace=False)`` per fire
+    count, drawn in order from one bit generator.
+
 This module gives each of them swappable implementations behind one
 dispatch point:
 
 ``numpy``
     The original vectorized single-thread implementations — the pinned
     reference every other backend is parity-tested against bit for bit
-    (``tests/test_kernels.py``, ``tests/test_bposd_kernels.py``).
+    (``tests/test_kernels.py``, ``tests/test_bposd_kernels.py``,
+    ``tests/test_sample_fires_kernel.py``).
 ``cnative``
     A tiny C translation unit (``_kernels.c``) compiled on first use
     with the system compiler (``cc -O3 -ffp-contract=off -shared
-    -fPIC``), loaded through ctypes, and self-tested against the numpy
-    reference before it is ever trusted.  Grouping sorts on a splitmix64
-    hash-fold of each multi-word key instead of lexsorting column by
-    column, with exact collision repair — the grouping is identical, only
-    group *order* differs (explicitly arbitrary by contract; callers map
-    through ``inverse``).  BP runs one syndrome at a time and repeats
-    numpy's floating-point operations one for one; OSD builds the greedy
-    column basis instead of an RREF.  No build step, no new dependency:
-    if anything in that chain is missing the resolver silently falls
-    back.
+    -fPIC``) and loaded through ctypes.  Each kernel runs a small
+    self-test case against the numpy reference on its first call; a
+    kernel whose case fails serves the numpy reference from then on
+    (listed in ``CNativeBackend.fallbacks``), and the others stay
+    native.  Grouping sorts on a splitmix64 hash-fold of each multi-word
+    key instead of lexsorting column by column, with exact collision
+    repair — the grouping is identical, only group *order* differs
+    (explicitly arbitrary by contract; callers map through
+    ``inverse``).  BP runs one syndrome at a time and repeats numpy's
+    floating-point operations one for one; OSD builds the greedy column
+    basis instead of an RREF.  ``sample_fires`` drives the caller's
+    generator through numpy's C ``bitgen_t`` interface and repeats
+    ``choice``'s draws (Floyd's algorithm or a tail shuffle) one for
+    one, so the shot indices and the generator's final state are
+    numpy's.  No build step, no new dependency: if anything in that
+    chain is missing the resolver silently falls back.
 
 Both run on the calling thread only.  Parallelism is the process
 fan-out of the shot runner and the subgraph sampler
@@ -50,7 +64,7 @@ exist in the child.
 
 Selection happens at import from ``REPRO_KERNELS`` (``auto`` |
 ``numpy`` | ``cnative``; default ``auto`` = ``cnative`` when it compiles
-and passes its self-test, else ``numpy``).  Tests switch backends with
+and loads, else ``numpy``).  Tests switch backends with
 :func:`set_backend` / :func:`use_backend`.
 
 The dense-reference decode paths never route through here — they stay
@@ -86,6 +100,7 @@ _POPCOUNT_CALLS = obs.counter("kernel.popcount")
 _UNIQUE_CALLS = obs.counter("kernel.unique")
 _BP_CALLS = obs.counter("kernel.bp")
 _OSD_CALLS = obs.counter("kernel.osd")
+_FIRES_CALLS = obs.counter("kernel.sample_fires")
 _BACKEND_CALLS = obs.counter("kernel.backend.numpy")
 
 # Butterfly masks for the in-register 64x64 bit transpose: at step ``j``
@@ -394,6 +409,18 @@ class NumpyBackend:
             combos=reduced[:found, free].T,
         )
 
+    def sample_fires(
+        self, bit_generator: np.random.BitGenerator, shots: int, counts: np.ndarray
+    ) -> np.ndarray:
+        rng = np.random.Generator(bit_generator)
+        rows = [
+            rng.choice(shots, size=c, replace=False)
+            for c in np.asarray(counts).tolist()
+        ]
+        if rows:
+            return np.concatenate(rows)
+        return np.zeros(0, dtype=np.int64)
+
 
 # -- hash-fold grouping (the cnative fast path) --------------------------------
 
@@ -508,12 +535,21 @@ def _ptr(arr: np.ndarray, ctype):
 
 
 class CNativeBackend(NumpyBackend):
-    """ctypes-loaded C kernels, single-threaded like the reference."""
+    """ctypes-loaded C kernels, single-threaded like the reference.
+
+    Each kernel runs its self-test case (``_SELF_TESTS``) on its first
+    call, so a process pays only for the kernels it uses.  A kernel
+    whose case fails is served by the numpy reference from then on and
+    named in ``fallbacks``; the others stay native.
+    """
 
     name = "cnative"
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
+        self.fallbacks: set[str] = set()
+        for kernel in _SELF_TESTS:
+            setattr(self, kernel, self._first_call(kernel))
         u64p = ctypes.POINTER(ctypes.c_uint64)
         i64p = ctypes.POINTER(ctypes.c_int64)
         lib.repro_transpose_words.argtypes = [
@@ -570,6 +606,36 @@ class CNativeBackend(NumpyBackend):
             i64p,
         ]
         lib.repro_osd_basis.restype = None
+        lib.repro_sample_fires.argtypes = [
+            ctypes.c_void_p,
+            ctypes.c_int64,
+            i64p,
+            long_,
+            u8p,
+            i64p,
+            i64p,
+        ]
+        lib.repro_sample_fires.restype = None
+
+    def _first_call(self, kernel: str):
+        """Stand-in for ``kernel`` until its first call: run the
+        kernel's self-test case, then bind the native method (or the
+        reference, if the case fails) over this stand-in.  Threads that
+        race here each run the case and bind the same result."""
+
+        def verify_then_call(*args, **kwargs):
+            native = getattr(type(self), kernel).__get__(self)
+            try:
+                passed = _SELF_TESTS[kernel](native, getattr(_REFERENCE, kernel))
+            except Exception:  # a case that raises has failed
+                passed = False
+            if not passed:
+                self.fallbacks.add(kernel)
+            impl = native if passed else getattr(_REFERENCE, kernel)
+            setattr(self, kernel, impl)
+            return impl(*args, **kwargs)
+
+        return verify_then_call
 
     def transpose_words(self, words: np.ndarray, ncols: int) -> np.ndarray:
         words = _check_words_2d(words)
@@ -698,74 +764,142 @@ class CNativeBackend(NumpyBackend):
             combos=combos[:nfree, :found],
         )
 
+    def sample_fires(
+        self, bit_generator: np.random.BitGenerator, shots: int, counts: np.ndarray
+    ) -> np.ndarray:
+        counts = np.ascontiguousarray(counts, dtype=np.int64)
+        if counts.size and (counts.min() < 0 or counts.max() > shots):
+            raise ValueError("every count must lie in [0, shots]")
+        if shots > 2**32:
+            # numpy bounds its draws with 64-bit words here; no batch
+            # that fits in memory reaches it.
+            return super().sample_fires(bit_generator, shots, counts)
+        marks = np.zeros(shots, dtype=np.uint8)
+        perm = np.empty(shots, dtype=np.int64)
+        out = np.empty(int(counts.sum()), dtype=np.int64)
+        with bit_generator.lock:
+            self._lib.repro_sample_fires(
+                bit_generator.ctypes.bit_generator,
+                shots,
+                _ptr(counts, ctypes.c_int64),
+                len(counts),
+                _ptr(marks, ctypes.c_uint8),
+                _ptr(perm, ctypes.c_int64),
+                _ptr(out, ctypes.c_int64),
+            )
+        return out
 
-def _self_test(backend: NumpyBackend) -> bool:
-    """Tiny parity check before a non-reference backend is trusted."""
-    try:
-        rng = np.random.default_rng(12345)
-        ref = NumpyBackend()
-        words = rng.integers(0, 2**63, size=(70, 3), dtype=np.uint64)
-        if not np.array_equal(
-            backend.transpose_words(words, 130), ref.transpose_words(words, 130)
-        ):
-            return False
-        if backend.popcount_words(words) != ref.popcount_words(words):
-            return False
-        keys = rng.integers(0, 4, size=(97, 2), dtype=np.uint64)
-        got_u, got_inv = backend.unique_shot_words(keys)
-        want_u, want_inv = ref.unique_shot_words(keys)
-        if not (
-            got_u.shape == want_u.shape
-            and np.array_equal(got_u[got_inv], want_u[want_inv])
-            and np.array_equal(got_u[got_inv], keys)
-        ):
-            return False
-        # BP and OSD on a random rank-deficient 12 x 24 check matrix (its
-        # last two rows are equal) whose first column has degree 10, so
-        # the column sum takes numpy's blocked path.
-        h = (rng.random((12, 24)) < 0.2).astype(np.uint8)
-        h[:10, 0] = 1
-        h[np.arange(11), 1 + np.arange(11)] = 1
-        h[11] = h[10]
-        rows, cols = np.nonzero(h)
-        graph = TannerGraph.from_edges(rows, cols, 12, rng.uniform(0.5, 6.0, 24))
-        syndromes = (rng.random((6, 12)) < 0.4).astype(np.uint8)
-        # And one iteration on a column whose three messages round
-        # differently when summed in order than numpy's pairwise way.
-        pairwise = TannerGraph.from_edges(
-            np.array([0, 0, 1, 1, 2, 2]),
-            np.array([0, 1, 0, 2, 0, 3]),
-            3,
-            np.float32([0.00015644815, 0.00019651184, 18.677338, 18.675581]),
-        )
-        for g, syn, iterations in (
-            (graph, syndromes, 5),
-            (pairwise, np.uint8([[0, 0, 1]]), 1),
-        ):
-            for got, want in zip(
-                backend.bp_min_sum(g, syn, iterations),
-                ref.bp_min_sum(g, syn, iterations),
-            ):
-                if got.dtype != want.dtype or got.tobytes() != want.tobytes():
-                    return False
-        h_cols = pack_rows(np.ascontiguousarray(h.T))
-        order = rng.permutation(24)
-        for syndrome in (h[:, :5].sum(axis=1) % 2, np.eye(12, dtype=np.uint8)[11]):
-            got = backend.osd_basis(h_cols, 12, order, syndrome, None, 3)
-            want = ref.osd_basis(h_cols, 12, order, syndrome, None, 3)
-            if (got.solution is None) != (want.solution is None):
+
+# -- per-kernel self-test cases ------------------------------------------------
+#
+# Each case gets the candidate kernel and the numpy reference as bound
+# methods and returns whether they agree on a tiny input.
+
+
+def _case_transpose(run, ref) -> bool:
+    words = np.random.default_rng(1).integers(0, 2**63, size=(70, 3), dtype=np.uint64)
+    return np.array_equal(run(words, 130), ref(words, 130))
+
+
+def _case_popcount(run, ref) -> bool:
+    words = np.random.default_rng(2).integers(0, 2**63, size=(70, 3), dtype=np.uint64)
+    return run(words) == ref(words) and np.array_equal(run(words, 1), ref(words, 1))
+
+
+def _case_unique(run, ref) -> bool:
+    keys = np.random.default_rng(3).integers(0, 4, size=(97, 2), dtype=np.uint64)
+    got_u, got_inv = run(keys)
+    want_u, want_inv = ref(keys)
+    return (
+        got_u.shape == want_u.shape
+        and np.array_equal(got_u[got_inv], want_u[want_inv])
+        and np.array_equal(got_u[got_inv], keys)
+    )
+
+
+def _case_check_matrix(rng: np.random.Generator) -> np.ndarray:
+    """A random rank-deficient 12 x 24 check matrix (its last two rows
+    are equal) whose first column has degree 10, so BP's column sum
+    takes numpy's blocked pairwise path."""
+    h = (rng.random((12, 24)) < 0.2).astype(np.uint8)
+    h[:10, 0] = 1
+    h[np.arange(11), 1 + np.arange(11)] = 1
+    h[11] = h[10]
+    return h
+
+
+def _case_bp(run, ref) -> bool:
+    rng = np.random.default_rng(4)
+    h = _case_check_matrix(rng)
+    rows, cols = np.nonzero(h)
+    graph = TannerGraph.from_edges(rows, cols, 12, rng.uniform(0.5, 6.0, 24))
+    syndromes = (rng.random((6, 12)) < 0.4).astype(np.uint8)
+    # And one iteration on a column whose three messages round
+    # differently when summed in order than numpy's pairwise way.
+    pairwise = TannerGraph.from_edges(
+        np.array([0, 0, 1, 1, 2, 2]),
+        np.array([0, 1, 0, 2, 0, 3]),
+        3,
+        np.float32([0.00015644815, 0.00019651184, 18.677338, 18.675581]),
+    )
+    for g, syn, iterations in (
+        (graph, syndromes, 5),
+        (pairwise, np.uint8([[0, 0, 1]]), 1),
+    ):
+        for got, want in zip(run(g, syn, iterations), ref(g, syn, iterations)):
+            if got.dtype != want.dtype or got.tobytes() != want.tobytes():
                 return False
-            for a, b in zip(got, want):
-                if a is not None and not np.array_equal(a, b):
-                    return False
-        return True
-    except Exception:
-        return False
+    return True
+
+
+def _case_osd(run, ref) -> bool:
+    rng = np.random.default_rng(5)
+    h = _case_check_matrix(rng)
+    h_cols = pack_rows(np.ascontiguousarray(h.T))
+    order = rng.permutation(24)
+    # A consistent syndrome and one outside H's column space.
+    for syndrome in (h[:, :5].sum(axis=1) % 2, np.eye(12, dtype=np.uint8)[11]):
+        got = run(h_cols, 12, order, syndrome, None, 3)
+        want = ref(h_cols, 12, order, syndrome, None, 3)
+        if (got.solution is None) != (want.solution is None):
+            return False
+        for a, b in zip(got, want):
+            if a is not None and not np.array_equal(a, b):
+                return False
+    return True
+
+
+def _case_sample_fires(run, ref) -> bool:
+    # Floyd's path with collisions (a small population, a full draw)
+    # and both sides of the 1/50 cut above 10,000, the tail path included.
+    for shots, counts in ((5, [5, 3, 1, 0]), (10001, [1, 200, 201, 10001])):
+        got_bits, want_bits = np.random.PCG64(6), np.random.PCG64(6)
+        counts = np.array(counts, dtype=np.int64)
+        got, want = run(got_bits, shots, counts), ref(want_bits, shots, counts)
+        if not (
+            got.dtype == want.dtype
+            and np.array_equal(got, want)
+            and got_bits.random_raw(4).tolist() == want_bits.random_raw(4).tolist()
+            and got_bits.state == want_bits.state
+        ):
+            return False
+    return True
+
+
+_SELF_TESTS = {
+    "transpose_words": _case_transpose,
+    "popcount_words": _case_popcount,
+    "unique_shot_words": _case_unique,
+    "bp_min_sum": _case_bp,
+    "osd_basis": _case_osd,
+    "sample_fires": _case_sample_fires,
+}
 
 
 # -- backend registry / selection ----------------------------------------------
 
-_ACTIVE: NumpyBackend = NumpyBackend()
+_REFERENCE = NumpyBackend()
+_ACTIVE: NumpyBackend = _REFERENCE
 _NATIVE_RESULT: CNativeBackend | None | bool = False  # False = not tried yet
 
 
@@ -773,20 +907,17 @@ def _native_backend() -> CNativeBackend | None:
     global _NATIVE_RESULT
     if _NATIVE_RESULT is False:
         lib = _compile_native()
-        backend = CNativeBackend(lib) if lib is not None else None
-        if backend is not None and not _self_test(backend):
-            backend = None
-        _NATIVE_RESULT = backend
+        _NATIVE_RESULT = CNativeBackend(lib) if lib is not None else None
     return _NATIVE_RESULT
 
 
 def _make_backend(name: str) -> NumpyBackend | None:
     if name == "numpy":
-        return NumpyBackend()
+        return _REFERENCE
     if name == "cnative":
         return _native_backend()
     if name == "auto":
-        return _native_backend() or NumpyBackend()
+        return _native_backend() or _REFERENCE
     raise ValueError(
         f"unknown kernel backend {name!r}; expected one of auto, numpy, cnative"
     )
@@ -909,6 +1040,21 @@ def osd_basis(
     _OSD_CALLS.add()
     _BACKEND_CALLS.add()
     return _ACTIVE.osd_basis(h_cols, num_rows, order, syndrome, rank, n_free)
+
+
+def sample_fires(
+    bit_generator: np.random.BitGenerator, shots: int, counts: np.ndarray
+) -> np.ndarray:
+    """The shot indices of every fired mechanism, concatenated.
+
+    For each count ``c`` in order, the int64 result of
+    ``Generator(bit_generator).choice(shots, size=c, replace=False)``:
+    every backend returns numpy's indices and leaves ``bit_generator``
+    in numpy's state afterwards.
+    """
+    _FIRES_CALLS.add()
+    _BACKEND_CALLS.add()
+    return _ACTIVE.sample_fires(bit_generator, shots, counts)
 
 
 set_backend(os.environ.get("REPRO_KERNELS", "auto"))

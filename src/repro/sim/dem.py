@@ -192,6 +192,7 @@ class DetectorErrorModel:
             array.setflags(write=False)
         self._mechanisms: list[ErrorMechanism] | None = None
         self._ops_by_label: dict[tuple, list[int]] | None = None
+        self._check_matrices: tuple[sparse.csr_matrix, sparse.csr_matrix] | None = None
 
     @classmethod
     def from_mechanisms(
@@ -287,19 +288,25 @@ class DetectorErrorModel:
     def check_matrices(self) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
         """Sparse H (detectors x errors) and L (observables x errors), CSR:
         row ``r`` lists the mechanisms that flip detector (observable)
-        ``r``, ascending."""
+        ``r``, ascending.  Built once per model and shared by every
+        consumer, so their arrays are read-only."""
 
         def csr(block: np.ndarray) -> sparse.csr_matrix:
             rows, cols = np.nonzero(block.T)
             indptr = np.zeros(block.shape[1] + 1, dtype=np.int32)
             np.cumsum(np.bincount(rows, minlength=block.shape[1]), out=indptr[1:])
-            return sparse.csr_matrix(
+            matrix = sparse.csr_matrix(
                 (np.ones(len(cols), dtype=np.uint8), cols.astype(np.int32), indptr),
                 shape=(block.shape[1], self.num_errors),
             )
+            for array in (matrix.indptr, matrix.indices, matrix.data):
+                array.setflags(write=False)
+            return matrix
 
-        dets, obs = self.bits()
-        return csr(dets), csr(obs)
+        if self._check_matrices is None:
+            dets, obs = self.bits()
+            self._check_matrices = csr(dets), csr(obs)
+        return self._check_matrices
 
     def undetectable_logical_mechanisms(self) -> list[ErrorMechanism]:
         """Mechanisms that flip an observable but no detector (d_eff = 1!)."""

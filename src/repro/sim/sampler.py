@@ -25,6 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from .. import obs
+from ..gf2 import kernels
 from .bitbatch import BitSampleBatch, SampleBatch, scatter_fires, xor_accumulate_csr
 from .dem import DetectorErrorModel
 
@@ -52,21 +53,18 @@ class DemSampler:
         """Draw fire events as (shot_idx, mechanism_idx) index arrays.
 
         The draw order is pinned: one vector binomial, then one
-        ``choice`` per firing mechanism in index order.  Everything
-        else here is non-random bookkeeping and free to change without
-        perturbing sampled batches.
+        ``choice(shots, size=count, replace=False)`` per firing
+        mechanism in index order (:func:`repro.gf2.kernels.sample_fires`
+        draws those exactly as numpy does).  Everything else here is
+        non-random bookkeeping and free to change without perturbing
+        sampled batches.
         """
         counts = rng.binomial(shots, self.probs)
         fired = np.nonzero(counts)[0]
         fired_counts = counts[fired]
-        rows = [
-            rng.choice(shots, size=c, replace=False)
-            for c in fired_counts.tolist()
-        ]
-        if rows:
-            cols = np.repeat(fired.astype(np.int64), fired_counts)
-            return np.concatenate(rows), cols
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        shot_idx = kernels.sample_fires(rng.bit_generator, shots, fired_counts)
+        cols = np.repeat(fired.astype(np.int64), fired_counts)
+        return shot_idx, cols
 
     # -- packed hot path -----------------------------------------------------
 

@@ -72,6 +72,65 @@ class TestBackendRegistry:
         assert kernels.backend_name() == before
 
 
+@pytest.mark.skipif("cnative" not in BACKENDS, reason="the native kernels do not build")
+class TestDeferredSelfTest:
+    """Each C kernel runs its own self-test case against the reference on
+    its first call; a kernel that fails its case falls back alone."""
+
+    @staticmethod
+    def _run_every_case(backend):
+        """Every kernel through the backend (first calls included) agrees
+        with the reference on its case's input."""
+        for name, case in kernels._SELF_TESTS.items():
+            assert case(getattr(backend, name), getattr(REFERENCE, name)), name
+
+    def test_every_native_kernel_passes_its_case_here(self):
+        native = kernels._native_backend()
+        for name, case in kernels._SELF_TESTS.items():
+            run = getattr(type(native), name).__get__(native)
+            assert case(run, getattr(REFERENCE, name)), name
+
+    def test_cases_run_on_first_call_only(self, monkeypatch):
+        ran = []
+        for name, case in list(kernels._SELF_TESTS.items()):
+
+            def counted(run, ref, name=name, case=case):
+                ran.append(name)
+                return case(run, ref)
+
+            monkeypatch.setitem(kernels._SELF_TESTS, name, counted)
+        backend = kernels.CNativeBackend(kernels._compile_native())
+        assert ran == [] and backend.fallbacks == set()
+        words = _random_packed(np.random.default_rng(0), 70, 130)
+        for _ in range(2):
+            got = backend.transpose_words(words, 130)
+            assert np.array_equal(got, REFERENCE.transpose_words(words, 130))
+        assert ran == ["transpose_words"]
+
+    @pytest.mark.parametrize("wrong", ["popcount_words", "sample_fires"])
+    def test_wrong_kernel_falls_back_alone(self, wrong):
+        class OneWrongKernel(kernels.CNativeBackend):
+            def popcount_words(self, words, axis=None):
+                if wrong == "popcount_words":
+                    return super().popcount_words(words, axis) + 1
+                return super().popcount_words(words, axis)
+
+            def sample_fires(self, bit_generator, shots, counts):
+                out = super().sample_fires(bit_generator, shots, counts)
+                return out[::-1].copy() if wrong == "sample_fires" else out
+
+        backend = OneWrongKernel(kernels._compile_native())
+        self._run_every_case(backend)
+        assert backend.fallbacks == {wrong}
+        for name in kernels._SELF_TESTS:
+            impl = getattr(backend, name)
+            if name == wrong:
+                assert impl.__self__ is kernels._REFERENCE
+            else:
+                assert impl.__self__ is backend
+                assert impl.__func__ is getattr(OneWrongKernel, name)
+
+
 class TestNativeCache:
     def test_other_compiler_builds_its_own_object(self, tmp_path, monkeypatch):
         cc = shutil.which("cc") or shutil.which("gcc")

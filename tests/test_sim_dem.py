@@ -8,7 +8,9 @@ from scipy import sparse
 
 from repro.circuits import Circuit, build_memory_experiment, nz_schedule, poor_schedule
 from repro.codes import rotated_surface_code
+from repro.decoders import BpOsdDecoder
 from repro.noise import NoiseModel
+from repro.rareevent.sampler import WeightStratifiedSampler
 from repro.sim import DemSampler, DetectorErrorModel, extract_dem
 
 
@@ -149,6 +151,35 @@ class TestSurfaceCodeDem:
         assert h.shape == (dem.num_detectors, dem.num_errors)
         assert l_mat.shape == (1, dem.num_errors)
         assert l_mat.sum() > 0
+
+    def test_check_matrices_built_once_and_read_only(self, dem):
+        """A sampler and a decoder built from one DEM share its matrices,
+        whose arrays nobody can write."""
+        sampler, decoder = DemSampler(dem), BpOsdDecoder(dem)
+        assert sampler.h is decoder.h and sampler.l is decoder.l
+        assert (sampler.h, sampler.l) == dem.check_matrices()
+        for matrix in (sampler.h, sampler.l):
+            for array in (matrix.indptr, matrix.indices, matrix.data):
+                assert not array.flags.writeable
+
+    def test_consumers_work_on_read_only_matrices(self, dem):
+        """Every reader of the shared matrices runs on them: both sampler
+        paths, BP+OSD, the fixed-weight sampler, and scipy products."""
+        sampler = DemSampler(dem)
+        packed = sampler.sample_packed(300, np.random.default_rng(4))
+        dense = sampler.sample_dense(300, np.random.default_rng(4))
+        assert np.array_equal(packed.to_dense().detectors, dense.detectors)
+        decoder = BpOsdDecoder(dem)
+        assert decoder.count_failures_packed(packed) == (
+            decoder.count_failures_dense(packed)
+        )
+        weighted = WeightStratifiedSampler(dem, max_weight=3)
+        assert weighted.sample_at_weight(2, 64, np.random.default_rng(5)).shots == 64
+        h, l_mat = dem.check_matrices()
+        e = np.zeros(dem.num_errors, dtype=np.uint8)
+        e[:3] = 1
+        assert (h @ e).shape == (dem.num_detectors,)
+        assert (l_mat.T @ l_mat).shape == (dem.num_errors, dem.num_errors)
 
     def test_poor_schedule_changes_dem(self):
         """Different CNOT orders give different circuit-level H (paper §2.7)."""
