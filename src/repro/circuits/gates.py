@@ -8,6 +8,11 @@ channels, layer separators (TICK), and detector/observable annotations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
+
+from ..gf2.kernels import WALK_GATES, WALK_NOISE_GATES
 
 # Gates that act on qubits.  NOISE_GATES and ALL_GATES are plain
 # (mutable) sets so :func:`register_noise_gate` can extend the IR —
@@ -38,6 +43,23 @@ GATE_ARITY = {
     "PAULI_CHANNEL_2": 2,
 }
 
+# Every gate name has a small integer code, the form the circuit's op
+# table stores.  The qubit gates take the codes the DEM walk kernel
+# reads, then come the annotations; registered noise gates take the
+# next free code, never reused.
+GATE_NAMES: list[str] = [
+    *WALK_GATES,
+    *WALK_NOISE_GATES,
+    "DETECTOR",
+    "OBSERVABLE_INCLUDE",
+    "TICK",
+]
+GATE_CODES: dict[str, int] = {name: code for code, name in enumerate(GATE_NAMES)}
+
+# Bumped on every registration change, so per-code lookup tables
+# derived from the sets above know when to rebuild.
+_REGISTRY_VERSION = [0]
+
 # Required argument count per noise gate (None = unconstrained).
 NOISE_GATE_ARGS = {
     "DEPOLARIZE1": 1,
@@ -66,6 +88,10 @@ def register_noise_gate(name: str, arity: int, num_args: int | None = None) -> N
     GATE_ARITY[name] = arity
     if num_args is not None:
         NOISE_GATE_ARGS[name] = num_args
+    if name not in GATE_CODES:
+        GATE_CODES[name] = len(GATE_NAMES)
+        GATE_NAMES.append(name)
+    _REGISTRY_VERSION[0] += 1
 
 
 def unregister_noise_gate(name: str) -> None:
@@ -74,6 +100,24 @@ def unregister_noise_gate(name: str) -> None:
     ALL_GATES.discard(name)
     GATE_ARITY.pop(name, None)
     NOISE_GATE_ARGS.pop(name, None)
+    _REGISTRY_VERSION[0] += 1
+
+
+def check_instruction(gate: str, num_targets: int, num_args: int) -> None:
+    """Raise ``ValueError`` unless ``gate`` with this many targets and
+    arguments is a well-formed instruction."""
+    if gate not in ALL_GATES:
+        raise ValueError(f"unknown gate {gate!r}")
+    arity = GATE_ARITY.get(gate)
+    if arity is not None and num_targets % arity != 0:
+        raise ValueError(f"{gate} takes groups of {arity} targets, got {num_targets}")
+    want_args = NOISE_GATE_ARGS.get(gate)
+    if want_args is not None and num_args != want_args:
+        raise ValueError(
+            f"{gate} needs {want_args} probability argument(s), got {num_args}"
+        )
+    if gate == "OBSERVABLE_INCLUDE" and num_args != 1:
+        raise ValueError("OBSERVABLE_INCLUDE needs the observable index")
 
 
 @dataclass(frozen=True)
@@ -94,21 +138,18 @@ class Operation:
     label: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
-        if self.gate not in ALL_GATES:
-            raise ValueError(f"unknown gate {self.gate!r}")
-        arity = GATE_ARITY.get(self.gate)
-        if arity is not None and len(self.targets) % arity != 0:
-            raise ValueError(
-                f"{self.gate} takes groups of {arity} targets, got {len(self.targets)}"
-            )
-        want_args = NOISE_GATE_ARGS.get(self.gate)
-        if want_args is not None and len(self.args) != want_args:
-            raise ValueError(
-                f"{self.gate} needs {want_args} probability argument(s), "
-                f"got {len(self.args)}"
-            )
-        if self.gate == "OBSERVABLE_INCLUDE" and len(self.args) != 1:
-            raise ValueError("OBSERVABLE_INCLUDE needs the observable index")
+        check_instruction(self.gate, len(self.targets), len(self.args))
+
+    @classmethod
+    def view(cls, gate: str, targets: tuple, args: tuple, label: tuple) -> "Operation":
+        """An operation read back from a circuit's op table, which was
+        checked when the row was written, so it is not checked again."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "gate", gate)
+        object.__setattr__(op, "targets", targets)
+        object.__setattr__(op, "args", args)
+        object.__setattr__(op, "label", label)
+        return op
 
     def target_groups(self) -> list[tuple[int, ...]]:
         """Split flattened targets into per-application groups."""
@@ -133,3 +174,31 @@ class Operation:
         if self.targets:
             parts.append(" " + " ".join(str(t) for t in self.targets))
         return "".join(parts)
+
+
+class GateTables(NamedTuple):
+    """Per-code lookups over :data:`GATE_NAMES`, for array code that
+    reads a circuit's op table.  ``arity`` is 0 for annotations."""
+
+    arity: np.ndarray
+    qubit: np.ndarray
+    noise: np.ndarray
+    measure: np.ndarray
+
+
+_TABLES: list = [None, -1]  # [GateTables, registry version it was built at]
+
+
+def gate_tables() -> GateTables:
+    """The lookups for the current gate registry (rebuilt after a
+    noise gate is registered or unregistered)."""
+    if _TABLES[1] != _REGISTRY_VERSION[0]:
+        names = GATE_NAMES
+        _TABLES[0] = GateTables(
+            arity=np.array([GATE_ARITY.get(g, 0) for g in names], dtype=np.int64),
+            qubit=np.array([g in GATE_ARITY for g in names], dtype=bool),
+            noise=np.array([g in NOISE_GATES for g in names], dtype=bool),
+            measure=np.array([g in MEASURE_GATES for g in names], dtype=bool),
+        )
+        _TABLES[1] = _REGISTRY_VERSION[0]
+    return _TABLES[0]

@@ -22,7 +22,7 @@ moves a data qubit earlier inside one stabilizer's order; *rescheduling*
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 
 import numpy as np
 
@@ -44,6 +44,8 @@ class Schedule:
         self.stab_orders = {k: list(v) for k, v in stab_orders.items()}
         self.qubit_orders = {k: list(v) for k, v in qubit_orders.items()}
         self._check_consistency()
+        self._memo_state: tuple | None = None
+        self._memo: dict[str, object] = {}
 
     # -- construction ---------------------------------------------------------
 
@@ -103,41 +105,56 @@ class Schedule:
             for q in order
         ]
 
-    def _precedence(self) -> dict[Edge, list[Edge]]:
-        succ: dict[Edge, list[Edge]] = defaultdict(list)
-        for (kind, s), order in self.stab_orders.items():
-            for a, b in zip(order, order[1:]):
-                succ[(kind, s, a)].append((kind, s, b))
-        for q, order in self.qubit_orders.items():
-            for (k1, s1), (k2, s2) in zip(order, order[1:]):
-                succ[(k1, s1, q)].append((k2, s2, q))
-        return succ
+    def _memoized(self, name: str, compute):
+        """``compute()``, once per state of the orders.  The orders are
+        plain mutable lists, so the memo is keyed by a snapshot of them:
+        the builder's validity guard, its CNOT layers and §5.4's check
+        before it share one layering and one commutation test."""
+        state = (
+            tuple((k, tuple(v)) for k, v in self.stab_orders.items()),
+            tuple((q, tuple(v)) for q, v in self.qubit_orders.items()),
+        )
+        if state != self._memo_state:
+            self._memo_state, self._memo = state, {}
+        if name not in self._memo:
+            self._memo[name] = compute()
+        return self._memo[name]
 
     def layers(self) -> dict[Edge, int] | None:
         """ASAP layer for every CNOT, or ``None`` if the DAG has a cycle."""
-        succ = self._precedence()
+        layers = self._memoized("layers", self._asap_layers)
+        return None if layers is None else dict(layers)
+
+    def _asap_layers(self) -> dict[Edge, int] | None:
+        """Longest-path layers of the precedence DAG (Kahn's algorithm
+        over edge indices), or ``None`` if it has a cycle."""
         edges = self.edges()
-        indeg = {e: 0 for e in edges}
-        for e, outs in succ.items():
+        index = {e: i for i, e in enumerate(edges)}
+        succ: list[list[int]] = [[] for _ in edges]
+        for (kind, s), order in self.stab_orders.items():
+            for a, b in zip(order, order[1:]):
+                succ[index[kind, s, a]].append(index[kind, s, b])
+        for q, order in self.qubit_orders.items():
+            for (k1, s1), (k2, s2) in zip(order, order[1:]):
+                succ[index[k1, s1, q]].append(index[k2, s2, q])
+        indeg = [0] * len(edges)
+        for outs in succ:
             for o in outs:
                 indeg[o] += 1
-        queue = deque(e for e in edges if indeg[e] == 0)
-        layer = {e: 0 for e in edges}
-        seen = 0
-        while queue:
-            e = queue.popleft()
-            seen += 1
-            for o in succ.get(e, ()):
-                layer[o] = max(layer[o], layer[e] + 1)
+        queue = [i for i, d in enumerate(indeg) if d == 0]
+        layer = [0] * len(edges)
+        for i in queue:  # grows while it is walked
+            for o in succ[i]:
+                layer[o] = max(layer[o], layer[i] + 1)
                 indeg[o] -= 1
                 if indeg[o] == 0:
                     queue.append(o)
-        if seen != len(edges):
+        if len(queue) != len(edges):
             return None  # cyclic: unschedulable
-        return layer
+        return dict(zip(edges, layer))
 
     def is_schedulable(self) -> bool:
-        return self.layers() is not None
+        return self._memoized("layers", self._asap_layers) is not None
 
     def cnot_depth(self) -> int:
         layers = self.layers()
@@ -146,38 +163,36 @@ class Schedule:
         return max(layers.values()) + 1 if layers else 0
 
     def cnot_layers(self) -> list[list[Edge]]:
-        layers = self.layers()
+        layers = self._memoized("layers", self._asap_layers)
         if layers is None:
             raise ValueError("schedule is not schedulable (cyclic dependencies)")
-        depth = max(layers.values()) + 1 if layers else 0
-        out: list[list[Edge]] = [[] for _ in range(depth)]
-        for e, t in layers.items():
-            out[t].append(e)
-        for bucket in out:
-            bucket.sort()
-        return out
+        return _bucket_layers(layers)
 
     # -- validity ---------------------------------------------------------------
 
     def commutation_violations(self) -> list[tuple[int, int]]:
         """(x_stab, z_stab) pairs whose measurement operators anticommute."""
+        return list(self._memoized("violations", self._x_first_odd))
+
+    def _x_first_odd(self) -> list[tuple[int, int]]:
+        """The pairs with an odd number of shared qubits on which the X
+        stabilizer acts first.
+
+        It acts first on ``q`` when it sits earlier in ``q``'s relative
+        order.  With ``pos_x`` and ``pos_z`` each stabilizer's position
+        per qubit (-1 where it does not act), the count for every pair
+        is ``sum_p [pos_x == p] @ [pos_z > p]^T`` over the positions.
+        """
         code = self.code
-        overlap = (code.hx.astype(np.int64) @ code.hz.T.astype(np.int64))
-        position: dict[int, dict[tuple[str, int], int]] = {}
+        pos = {"x": np.full(code.hx.shape, -1), "z": np.full(code.hz.shape, -1)}
         for q, order in self.qubit_orders.items():
-            position[q] = {sk: i for i, sk in enumerate(order)}
-        bad = []
-        for xs, zs in zip(*np.nonzero(overlap)):
-            xs, zs = int(xs), int(zs)
-            shared = np.nonzero(code.hx[xs] & code.hz[zs])[0]
-            x_first = sum(
-                1
-                for q in shared
-                if position[int(q)][("x", xs)] < position[int(q)][("z", zs)]
-            )
-            if x_first % 2 == 1:
-                bad.append((xs, zs))
-        return bad
+            for i, (kind, s) in enumerate(order):
+                pos[kind][s, q] = i
+        pos_x, pos_z = pos["x"], pos["z"]
+        x_first = np.zeros((pos_x.shape[0], pos_z.shape[0]), dtype=np.int64)
+        for p in range(int(pos_x.max(initial=-1)) + 1):
+            x_first += (pos_x == p).astype(np.int64) @ (pos_z > p).T.astype(np.int64)
+        return [(int(a), int(b)) for a, b in zip(*np.nonzero(x_first & 1))]
 
     def is_valid(self) -> bool:
         """Paper §5.4 circuit validity: commutation preserved and schedulable."""
@@ -221,3 +236,14 @@ class Schedule:
             f"stabs={len(self.stab_orders)}, "
             f"valid={self.is_valid()})"
         )
+
+
+def _bucket_layers(layers: dict[Edge, int]) -> list[list[Edge]]:
+    """Edges grouped by ASAP layer, each layer sorted."""
+    depth = max(layers.values()) + 1 if layers else 0
+    out: list[list[Edge]] = [[] for _ in range(depth)]
+    for e, t in layers.items():
+        out[t].append(e)
+    for bucket in out:
+        bucket.sort()
+    return out

@@ -50,27 +50,30 @@ def _transport_logical_error(
     """Re-evaluate the old logical error's faults in the new circuit.
 
     Faults are identified by (gate label, pauli) — the gate set is
-    unchanged by schedule rewrites, only its order — and located in the
-    new DEM through its fault provenance arrays, so its mechanism
-    objects are never built.  Returns the XOR of the transported
+    unchanged by schedule rewrites, only its order.  Both DEMs name
+    their faults from their provenance arrays, and every name is looked
+    up in the new DEM in one batch, so no mechanism object is built and
+    no Pauli string is formatted.  Returns the XOR of the transported
     mechanisms' (detector, observable) signatures.
     """
+    names = [old_dem.source_names(err) for err in logical_error]
+    found = new_dem.locate_faults([name for group in names for name in group])
     acc = np.zeros(new_dem.signatures.shape[1], dtype=np.uint64)
-    for err in logical_error:
-        for src in old_dem.mechanism(err).sources:
-            j = new_dem.locate_fault(src.label, src.pauli)
-            if j < 0:
-                # The fault no longer flips anything: it dropped out of the
-                # DEM entirely, which certainly breaks the logical error.
-                continue
-            acc ^= new_dem.signatures[j]
-            # Take one representative fault per old mechanism.  Sources
-            # merged in the old circuit can in principle diverge after the
-            # rewrite; using the first is the conservative reading of
-            # §5.4's "updated circuit-level errors" and errs toward
-            # rejecting candidates (a diverged sibling would differ even
-            # more from the original logical error).
-            break
+    start = 0
+    for group in names:
+        hits = found[start : start + len(group)]
+        start += len(group)
+        # Take one representative fault per old mechanism: its first
+        # source that still flips something (a fault that dropped out of
+        # the DEM entirely certainly breaks the logical error).  Sources
+        # merged in the old circuit can in principle diverge after the
+        # rewrite; using the first is the conservative reading of §5.4's
+        # "updated circuit-level errors" and errs toward rejecting
+        # candidates (a diverged sibling would differ even more from the
+        # original logical error).
+        located = hits[hits >= 0]
+        if located.size:
+            acc ^= new_dem.signatures[located[0]]
     dets, obs = new_dem.bits(acc[None, :])
     return dets[0], obs[0]
 

@@ -98,17 +98,20 @@ void repro_popcount_rows(const uint64_t *in, long m, long n, int64_t *out) {
 
 /* splitmix64-style fold of multi-word rows to one uint64 hash key each —
  * the sort key for the hash-grouped unique_shot_words fast path. */
+static uint64_t fold_row(const uint64_t *row, long n) {
+  uint64_t h = 0x9E3779B97F4A7C15ULL;
+  for (long k = 0; k < n; k++) {
+    uint64_t v = row[k] + h;
+    v = (v ^ (v >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    v = (v ^ (v >> 27)) * 0x94D049BB133111EBULL;
+    h = v ^ (v >> 31);
+  }
+  return h;
+}
+
 void repro_fold_rows(const uint64_t *in, long m, long n, uint64_t *out) {
   for (long i = 0; i < m; i++) {
-    const uint64_t *row = in + i * n;
-    uint64_t h = 0x9E3779B97F4A7C15ULL;
-    for (long k = 0; k < n; k++) {
-      uint64_t v = row[k] + h;
-      v = (v ^ (v >> 30)) * 0xBF58476D1CE4E5B9ULL;
-      v = (v ^ (v >> 27)) * 0x94D049BB133111EBULL;
-      h = v ^ (v >> 31);
-    }
-    out[i] = h;
+    out[i] = fold_row(in + i * n, n);
   }
 }
 
@@ -463,4 +466,133 @@ void repro_sample_fires(bitgen_t *bitgen, int64_t pop, const int64_t *counts,
     }
     out += size;
   }
+}
+
+/* -- DEM extraction: the backward sensitivity walk -------------------------
+ *
+ * Walks a circuit's op table from the last op to the first.  Each qubit
+ * keeps an X and a Z row of nwords words: the detectors/observables an
+ * X (Z) error on it at this point would flip.  Gate codes are the fixed
+ * built-in codes of repro.circuits.gates.GATE_NAMES (H, CNOT, R, RX, M,
+ * MX, then the four noise gates); every other code is skipped.
+ *
+ *   CNOT(c, t)  sx[c] ^= sx[t], sz[t] ^= sz[c]  (pairs in reverse)
+ *   H           swap sx, sz
+ *   R, RX       clear both rows
+ *   M (MX)      sx (sz) ^= the measurement's row (targets in reverse)
+ *   noise       snapshot sx, sz of each target, in target order
+ *
+ * out row 0 stays zero; snapshots fill rows 1, 2, ... in walk order.
+ * sx and sz are (nqubits, nwords) work buffers, zeroed by the caller.
+ */
+enum {
+  G_H = 0, G_CNOT = 1, G_R = 2, G_RX = 3, G_M = 4, G_MX = 5,
+  G_NOISE_FIRST = 6, G_NOISE_LAST = 9,
+};
+
+void repro_walk_back(const int32_t *gates, long nops, const int64_t *tptr,
+                     const int64_t *targets, const uint64_t *meas, long nmeas,
+                     long nwords, uint64_t *sx, uint64_t *sz, uint64_t *out) {
+  long m = nmeas;
+  uint64_t *row = out + nwords;
+  for (long i = nops - 1; i >= 0; i--) {
+    const int32_t g = gates[i];
+    const int64_t lo = tptr[i], hi = tptr[i + 1];
+    if (g == G_CNOT) {
+      for (int64_t k = hi - 2; k >= lo; k -= 2) {
+        uint64_t *xc = sx + targets[k] * nwords, *xt = sx + targets[k + 1] * nwords;
+        uint64_t *zc = sz + targets[k] * nwords, *zt = sz + targets[k + 1] * nwords;
+        for (long w = 0; w < nwords; w++) {
+          xc[w] ^= xt[w];
+          zt[w] ^= zc[w];
+        }
+      }
+    } else if (g == G_H) {
+      for (int64_t k = lo; k < hi; k++) {
+        uint64_t *x = sx + targets[k] * nwords, *z = sz + targets[k] * nwords;
+        for (long w = 0; w < nwords; w++) {
+          const uint64_t t = x[w];
+          x[w] = z[w];
+          z[w] = t;
+        }
+      }
+    } else if (g == G_R || g == G_RX) {
+      for (int64_t k = lo; k < hi; k++) {
+        memset(sx + targets[k] * nwords, 0, nwords * sizeof(uint64_t));
+        memset(sz + targets[k] * nwords, 0, nwords * sizeof(uint64_t));
+      }
+    } else if (g == G_M || g == G_MX) {
+      uint64_t *rows = g == G_M ? sx : sz;
+      for (int64_t k = hi - 1; k >= lo; k--) {
+        m--;
+        uint64_t *r = rows + targets[k] * nwords;
+        const uint64_t *src = meas + m * nwords;
+        for (long w = 0; w < nwords; w++) {
+          r[w] ^= src[w];
+        }
+      }
+    } else if (g >= G_NOISE_FIRST && g <= G_NOISE_LAST) {
+      for (int64_t k = lo; k < hi; k++) {
+        memcpy(row, sx + targets[k] * nwords, nwords * sizeof(uint64_t));
+        memcpy(row + nwords, sz + targets[k] * nwords, nwords * sizeof(uint64_t));
+        row += 2 * nwords;
+      }
+    }
+  }
+}
+
+/* -- DEM extraction: grouping faults into mechanisms -----------------------
+ *
+ * Faults come in site order, each with its (nwords)-word signature and
+ * probability.  A fault that flips nothing gets mechanism -1.  With
+ * merge, a visible fault joins the mechanism of the first earlier fault
+ * with the same signature (an open-addressing table of cap slots, a
+ * power of two, holding mechanism ids, -1 = empty, keyed by the
+ * splitmix64 fold of fold_row); without, every visible fault is
+ * its own mechanism.  So mechanisms come out in first-fault order, and
+ * each probability is composed over its faults in site order as
+ * p = a(1-p') + p'(1-a) — the numpy reference's operations, unfused.
+ * Returns the number of mechanisms.
+ */
+long repro_group_faults(const uint64_t *sig, long nfaults, long nwords,
+                        const double *probs, int merge, int64_t *table,
+                        long cap, uint64_t *out_sig, double *out_probs,
+                        int32_t *fault_mech) {
+  long count = 0;
+  for (long f = 0; f < nfaults; f++) {
+    const uint64_t *s = sig + f * nwords;
+    int visible = 0;
+    for (long w = 0; w < nwords; w++) {
+      visible |= s[w] != 0;
+    }
+    if (!visible) {
+      fault_mech[f] = -1;
+      continue;
+    }
+    long mech = -1;
+    if (merge) {
+      uint64_t slot = fold_row(s, nwords) & (uint64_t)(cap - 1);
+      while (table[slot] >= 0) {
+        if (memcmp(out_sig + table[slot] * nwords, s, nwords * sizeof(uint64_t)) == 0) {
+          mech = (long)table[slot];
+          break;
+        }
+        slot = (slot + 1) & (uint64_t)(cap - 1);
+      }
+      if (mech < 0) {
+        table[slot] = count;
+      }
+    }
+    const double p = probs[f];
+    if (mech < 0) {
+      mech = count++;
+      memcpy(out_sig + mech * nwords, s, nwords * sizeof(uint64_t));
+      out_probs[mech] = p;
+    } else {
+      const double a = out_probs[mech];
+      out_probs[mech] = a * (1.0 - p) + p * (1.0 - a);
+    }
+    fault_mech[f] = (int32_t)mech;
+  }
+  return count;
 }

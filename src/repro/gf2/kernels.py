@@ -28,6 +28,16 @@ of a batch drawing which shots each fired mechanism hits:
     One ``Generator.choice(shots, size=c, replace=False)`` per fire
     count, drawn in order from one bit generator.
 
+and DEM extraction (:func:`repro.sim.extract_dem`) has two loops over
+the circuit's faults:
+
+``walk_back``
+    The backward sensitivity walk over a circuit's op table, writing
+    every noise op's snapshot rows into one ``uint64`` buffer.
+``group_faults``
+    First-occurrence grouping of the fault signatures into mechanisms,
+    with each mechanism's probability composed in site order.
+
 This module gives each of them swappable implementations behind one
 dispatch point:
 
@@ -35,7 +45,7 @@ dispatch point:
     The original vectorized single-thread implementations — the pinned
     reference every other backend is parity-tested against bit for bit
     (``tests/test_kernels.py``, ``tests/test_bposd_kernels.py``,
-    ``tests/test_sample_fires_kernel.py``).
+    ``tests/test_sample_fires_kernel.py``, ``tests/test_dem_kernels.py``).
 ``cnative``
     A tiny C translation unit (``_kernels.c``) compiled on first use
     with the system compiler (``cc -O3 -ffp-contract=off -shared
@@ -53,8 +63,12 @@ dispatch point:
     generator through numpy's C ``bitgen_t`` interface and repeats
     ``choice``'s draws (Floyd's algorithm or a tail shuffle) one for
     one, so the shot indices and the generator's final state are
-    numpy's.  No build step, no new dependency: if anything in that
-    chain is missing the resolver silently falls back.
+    numpy's.  The DEM walk runs over fixed-width word rows instead of
+    Python ints, and fault grouping uses a hash table keyed like the
+    hash-fold sort; composing in site order with ``-ffp-contract=off``
+    keeps every probability byte-identical.  No build step, no new
+    dependency: if anything in that chain is missing the resolver
+    silently falls back.
 
 Both run on the calling thread only.  Parallelism is the process
 fan-out of the shot runner and the subgraph sampler
@@ -101,6 +115,8 @@ _UNIQUE_CALLS = obs.counter("kernel.unique")
 _BP_CALLS = obs.counter("kernel.bp")
 _OSD_CALLS = obs.counter("kernel.osd")
 _FIRES_CALLS = obs.counter("kernel.sample_fires")
+_WALK_CALLS = obs.counter("kernel.walk_back")
+_GROUP_CALLS = obs.counter("kernel.group_faults")
 _BACKEND_CALLS = obs.counter("kernel.backend.numpy")
 
 # Butterfly masks for the in-register 64x64 bit transpose: at step ``j``
@@ -113,6 +129,16 @@ _TRANSPOSE_STEPS: list[tuple[int, int]] = [
     (2, 0x3333333333333333),
     (1, 0x5555555555555555),
 ]
+
+
+# The gate codes the DEM walk reads, by position: the clean gates, then
+# the noise gates it snapshots.  repro.circuits.gates numbers the IR from
+# these (annotations and registered noise gates come after them, and the
+# walk skips every later code); the enum in _kernels.c spells them out.
+WALK_GATES = ("H", "CNOT", "R", "RX", "M", "MX")
+WALK_NOISE_GATES = ("DEPOLARIZE1", "DEPOLARIZE2", "PAULI_CHANNEL_1", "PAULI_CHANNEL_2")
+WALK_GATE_CODES = {name: code for code, name in enumerate(WALK_GATES)}
+WALK_NOISE_CODES = range(len(WALK_GATES), len(WALK_GATES) + len(WALK_NOISE_GATES))
 
 
 # -- shared validation + grouping scaffolding ---------------------------------
@@ -422,6 +448,95 @@ class NumpyBackend:
         return np.zeros(0, dtype=np.int64)
 
 
+    def walk_back(
+        self,
+        gates: np.ndarray,
+        target_ptr: np.ndarray,
+        targets: np.ndarray,
+        meas_rows: np.ndarray,
+        num_qubits: int,
+    ) -> np.ndarray:
+        """The backward walk over Python-int rows, one bit per
+        detector/observable; the snapshots are joined into the word
+        buffer at the end."""
+        nwords = meas_rows.shape[1]
+        meas_bits = [
+            int.from_bytes(row.tobytes(), "little")
+            for row in np.ascontiguousarray(meas_rows, dtype="<u8")
+        ]
+        cnot, h = WALK_GATE_CODES["CNOT"], WALK_GATE_CODES["H"]
+        resets = (WALK_GATE_CODES["R"], WALK_GATE_CODES["RX"])
+        m_code, mx_code = WALK_GATE_CODES["M"], WALK_GATE_CODES["MX"]
+        sx = [0] * num_qubits
+        sz = [0] * num_qubits
+        snaps = [0]
+        m = len(meas_bits)
+        ptr, flat = np.asarray(target_ptr).tolist(), np.asarray(targets).tolist()
+        gates = np.asarray(gates).tolist()
+        for i in range(len(gates) - 1, -1, -1):
+            gate, t = gates[i], flat[ptr[i] : ptr[i + 1]]
+            if gate == cnot:
+                for k in range(len(t) - 2, -1, -2):
+                    c, tg = t[k], t[k + 1]
+                    sx[c] ^= sx[tg]
+                    sz[tg] ^= sz[c]
+            elif gate == h:
+                for q in t:
+                    sx[q], sz[q] = sz[q], sx[q]
+            elif gate in resets:
+                for q in t:
+                    sx[q] = sz[q] = 0
+            elif gate == m_code:
+                for q in reversed(t):
+                    m -= 1
+                    sx[q] ^= meas_bits[m]
+            elif gate == mx_code:
+                for q in reversed(t):
+                    m -= 1
+                    sz[q] ^= meas_bits[m]
+            elif gate in WALK_NOISE_CODES:
+                for q in t:
+                    snaps.append(sx[q])
+                    snaps.append(sz[q])
+        buf = np.frombuffer(
+            b"".join(v.to_bytes(8 * nwords, "little") for v in snaps), dtype="<u8"
+        )
+        return buf.astype(np.uint64).reshape(-1, nwords)
+
+    def group_faults(
+        self, sig: np.ndarray, probs: np.ndarray, merge: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Group by :meth:`unique_shot_words`, order the groups by their
+        first fault, then compose each mechanism's probability with one
+        elementwise step per member rank."""
+        sig = _check_words_2d(sig)
+        visible = np.flatnonzero(sig.any(axis=1))
+        if not merge or visible.size == 0:
+            signatures, mech_of = sig[visible], np.arange(visible.size)
+        else:
+            uniq, inv = self.unique_shot_words(sig[visible])
+            _, first = np.unique(inv, return_index=True)
+            order = np.argsort(first)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            signatures, mech_of = uniq[order], rank[inv]
+        num = len(signatures)
+        mech_probs = np.zeros(num, dtype=np.float64)
+        by_mech = np.argsort(mech_of, kind="stable")
+        members = mech_of[by_mech]
+        member_probs = np.asarray(probs, dtype=np.float64)[visible][by_mech]
+        starts = np.flatnonzero(np.r_[True, members[1:] != members[:-1]])
+        counts = np.diff(np.r_[starts, members.size])
+        member_rank = np.arange(members.size) - np.repeat(starts, counts)
+        for r in range(int(member_rank.max(initial=-1)) + 1):
+            j, p = members[member_rank == r], member_probs[member_rank == r]
+            a = mech_probs[j]
+            mech_probs[j] = p if r == 0 else a * (1 - p) + p * (1 - a)
+        fault_mechanism = np.full(len(sig), -1, dtype=np.int32)
+        fault_mechanism[visible] = mech_of
+        return np.ascontiguousarray(signatures), fault_mechanism, mech_probs
+
+
 # -- hash-fold grouping (the cnative fast path) --------------------------------
 
 
@@ -616,6 +731,33 @@ class CNativeBackend(NumpyBackend):
             i64p,
         ]
         lib.repro_sample_fires.restype = None
+        i32p = ctypes.POINTER(ctypes.c_int32)
+        lib.repro_walk_back.argtypes = [
+            i32p,
+            long_,
+            i64p,
+            i64p,
+            u64p,
+            long_,
+            long_,
+            u64p,
+            u64p,
+            u64p,
+        ]
+        lib.repro_walk_back.restype = None
+        lib.repro_group_faults.argtypes = [
+            u64p,
+            long_,
+            long_,
+            f64p,
+            ctypes.c_int,
+            i64p,
+            long_,
+            u64p,
+            f64p,
+            i32p,
+        ]
+        lib.repro_group_faults.restype = long_
 
     def _first_call(self, kernel: str):
         """Stand-in for ``kernel`` until its first call: run the
@@ -790,6 +932,76 @@ class CNativeBackend(NumpyBackend):
         return out
 
 
+    def walk_back(
+        self,
+        gates: np.ndarray,
+        target_ptr: np.ndarray,
+        targets: np.ndarray,
+        meas_rows: np.ndarray,
+        num_qubits: int,
+    ) -> np.ndarray:
+        gates = np.ascontiguousarray(gates, dtype=np.int32)
+        target_ptr = np.ascontiguousarray(target_ptr, dtype=np.int64)
+        targets = np.ascontiguousarray(targets, dtype=np.int64)
+        meas = _check_words_2d(meas_rows)
+        nwords = meas.shape[1]
+        # The C walk indexes without bounds checks: check what it reads.
+        counts = np.diff(target_ptr)
+        if len(target_ptr) != len(gates) + 1 or targets.size < target_ptr[-1]:
+            raise ValueError("target_ptr must hold one offset per op, plus the end")
+        walked = np.repeat(gates < WALK_NOISE_CODES.stop, counts)
+        on_qubits = targets[: target_ptr[-1]][walked]
+        if on_qubits.size and (on_qubits.min() < 0 or on_qubits.max() >= num_qubits):
+            raise ValueError(f"a gate target lies outside {num_qubits} qubits")
+        measured = np.isin(gates, (WALK_GATE_CODES["M"], WALK_GATE_CODES["MX"]))
+        if int(counts[measured].sum()) != meas.shape[0]:
+            raise ValueError("meas_rows must hold one row per measurement")
+        noise = (gates >= WALK_NOISE_CODES.start) & (gates < WALK_NOISE_CODES.stop)
+        out = np.zeros((1 + 2 * int(counts[noise].sum()), nwords), dtype=np.uint64)
+        sx = np.zeros((num_qubits, nwords), dtype=np.uint64)
+        sz = np.zeros((num_qubits, nwords), dtype=np.uint64)
+        self._lib.repro_walk_back(
+            _ptr(gates, ctypes.c_int32),
+            len(gates),
+            _ptr(target_ptr, ctypes.c_int64),
+            _ptr(targets, ctypes.c_int64),
+            _ptr(meas, ctypes.c_uint64),
+            meas.shape[0],
+            nwords,
+            _ptr(sx, ctypes.c_uint64),
+            _ptr(sz, ctypes.c_uint64),
+            _ptr(out, ctypes.c_uint64),
+        )
+        return out
+
+    def group_faults(
+        self, sig: np.ndarray, probs: np.ndarray, merge: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        sig = _check_words_2d(sig)
+        probs = np.ascontiguousarray(probs, dtype=np.float64)
+        faults, nwords = sig.shape
+        if probs.shape != (faults,):
+            raise ValueError("probs must hold one probability per fault")
+        cap = 1 << (2 * faults).bit_length()  # a power of two above 2x
+        table = np.full(cap, -1, dtype=np.int64)
+        out_sig = np.empty((faults, nwords), dtype=np.uint64)
+        out_probs = np.empty(faults, dtype=np.float64)
+        fault_mechanism = np.empty(faults, dtype=np.int32)
+        count = self._lib.repro_group_faults(
+            _ptr(sig, ctypes.c_uint64),
+            faults,
+            nwords,
+            _ptr(probs, ctypes.c_double),
+            int(bool(merge)),
+            _ptr(table, ctypes.c_int64),
+            cap,
+            _ptr(out_sig, ctypes.c_uint64),
+            _ptr(out_probs, ctypes.c_double),
+            _ptr(fault_mechanism, ctypes.c_int32),
+        )
+        return out_sig[:count].copy(), fault_mechanism, out_probs[:count].copy()
+
+
 # -- per-kernel self-test cases ------------------------------------------------
 #
 # Each case gets the candidate kernel and the numpy reference as bound
@@ -886,6 +1098,52 @@ def _case_sample_fires(run, ref) -> bool:
     return True
 
 
+def _case_op_table(rng: np.random.Generator):
+    """A random 5-qubit op table of every gate the walk reads, with
+    two-word measurement rows (108 bits)."""
+    pairs = ("CNOT", "DEPOLARIZE2", "PAULI_CHANNEL_2")
+    arity = {
+        code: 2 if name in pairs else 1
+        for code, name in enumerate(WALK_GATES + WALK_NOISE_GATES)
+    }
+    arity[WALK_NOISE_CODES.stop + 2] = 0  # a code the walk skips
+    gates = rng.choice(list(arity), size=60)
+    targets = [rng.permutation(5)[: arity[g] * int(rng.integers(1, 3))] for g in gates]
+    target_ptr = np.cumsum([0] + [len(t) for t in targets])
+    measured = (WALK_GATE_CODES["M"], WALK_GATE_CODES["MX"])
+    measurements = sum(len(t) for g, t in zip(gates, targets) if g in measured)
+    meas_rows = rng.integers(0, 2**63, size=(measurements, 2), dtype=np.uint64)
+    meas_rows[:, 1] &= np.uint64(2**44 - 1)
+    return gates.astype(np.int32), target_ptr, np.concatenate(targets), meas_rows
+
+
+def _same_bytes(got, want) -> bool:
+    """Equal dtypes, shapes and bytes, array by array."""
+    return all(
+        a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for a, b in zip(got, want)
+    )
+
+
+def _case_walk_back(run, ref) -> bool:
+    table = _case_op_table(np.random.default_rng(7))
+    return _same_bytes([run(*table, 5)], [ref(*table, 5)])
+
+
+def _case_group_faults(run, ref) -> bool:
+    # Few distinct two-word rows (zero among them), so faults merge in
+    # runs of several whose composed probability depends on site order.
+    rng = np.random.default_rng(8)
+    palette = rng.integers(0, 2**63, size=(6, 2), dtype=np.uint64)
+    palette[0] = 0
+    sig = palette[rng.integers(0, 6, size=80)]
+    probs = rng.uniform(0.0, 0.3, size=80)
+    return all(
+        _same_bytes(run(sig, probs, merge), ref(sig, probs, merge))
+        for merge in (True, False)
+    )
+
+
 _SELF_TESTS = {
     "transpose_words": _case_transpose,
     "popcount_words": _case_popcount,
@@ -893,6 +1151,8 @@ _SELF_TESTS = {
     "bp_min_sum": _case_bp,
     "osd_basis": _case_osd,
     "sample_fires": _case_sample_fires,
+    "walk_back": _case_walk_back,
+    "group_faults": _case_group_faults,
 }
 
 
@@ -1055,6 +1315,48 @@ def sample_fires(
     _FIRES_CALLS.add()
     _BACKEND_CALLS.add()
     return _ACTIVE.sample_fires(bit_generator, shots, counts)
+
+
+def walk_back(
+    gates: np.ndarray,
+    target_ptr: np.ndarray,
+    targets: np.ndarray,
+    meas_rows: np.ndarray,
+    num_qubits: int,
+) -> np.ndarray:
+    """The backward sensitivity walk of DEM extraction.
+
+    Walks a circuit's op table (gate codes, target offsets and flat
+    targets; see :class:`repro.circuits.circuit.OpTable`) from the last
+    op to the first.  Each qubit carries an X and a Z row of
+    ``meas_rows.shape[1]`` words — ``meas_rows`` holds each
+    measurement's detector/observable bits in
+    :func:`repro.gf2.bitmat.pack_rows` layout.  Returns ``(1 + 2 *
+    noise targets, nwords)`` uint64: row 0 zero, then for every noise
+    op in walk (backward) order the X and Z row of each of its targets,
+    in target order, as they stand just after the op.
+    """
+    _WALK_CALLS.add()
+    _BACKEND_CALLS.add()
+    return _ACTIVE.walk_back(gates, target_ptr, targets, meas_rows, num_qubits)
+
+
+def group_faults(
+    sig: np.ndarray, probs: np.ndarray, merge: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge faults with equal signatures into mechanisms.
+
+    ``sig`` is ``(faults, nwords)`` uint64 in site order, ``probs``
+    each fault's probability.  Returns ``(signatures, fault_mechanism,
+    mechanism_probs)``: mechanisms in the order of their first fault,
+    the int32 mechanism of each fault (-1 for one that flips nothing),
+    and each mechanism's probability composed over its faults in site
+    order as ``p = a(1 - p') + p'(1 - a)``.  ``merge=False`` makes every
+    visible fault its own mechanism.
+    """
+    _GROUP_CALLS.add()
+    _BACKEND_CALLS.add()
+    return _ACTIVE.group_faults(sig, probs, merge)
 
 
 set_backend(os.environ.get("REPRO_KERNELS", "auto"))

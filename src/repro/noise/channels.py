@@ -21,9 +21,10 @@ import math
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
-# One lowered noise instruction: (gate, targets, args).  The spec's
-# ``apply`` stamps the label of the gate the channel attaches to.
-LoweredOp = tuple[str, tuple[int, ...], tuple[float, ...]]
+# One lowered noise instruction: (gate, args).  The spec's ``apply``
+# places it on the targets of the gate the channel attaches to and
+# stamps that gate's label.
+LoweredOp = tuple[str, tuple[float, ...]]
 
 CHANNEL_REGISTRY: dict[str, type["GateChannel"]] = {}
 
@@ -73,13 +74,14 @@ class GateChannel:
     # apply time deep inside a sweep.
     ARITY: ClassVar[int | None] = None
 
-    def ops(self, targets: tuple[int, ...], arity: int) -> list[LoweredOp]:
-        """Lower one gate application's noise to IR instructions.
+    def ops(self, arity: int) -> list[LoweredOp]:
+        """The noise instructions every application of the channel
+        lowers to, in order.
 
-        ``targets`` are the flattened qubits of the gate op the channel
-        attaches to; ``arity`` is the gate class (1 for single-qubit
-        gates and measurements, 2 for CNOT).  Returning ``[]`` means the
-        channel is a no-op at its current parameters.
+        Each instruction acts on the flattened qubits of the gate op the
+        channel attaches to; ``arity`` is the gate class (1 for
+        single-qubit gates and measurements, 2 for CNOT).  Returning
+        ``[]`` means the channel is a no-op at its current parameters.
         """
         raise NotImplementedError
 
@@ -125,11 +127,11 @@ class DepolarizingChannel(GateChannel):
         if not 0 <= self.p <= 1:
             raise ValueError(f"depolarizing rate {self.p} outside [0, 1]")
 
-    def ops(self, targets: tuple[int, ...], arity: int) -> list[LoweredOp]:
+    def ops(self, arity: int) -> list[LoweredOp]:
         if self.p <= 0:
             return []
         gate = "DEPOLARIZE1" if arity == 1 else "DEPOLARIZE2"
-        return [(gate, targets, (self.p,))]
+        return [(gate, (self.p,))]
 
     def to_payload(self) -> dict[str, Any]:
         return {"kind": self.KIND, "p": float(self.p)}
@@ -175,12 +177,12 @@ class BiasedPauliChannel(GateChannel):
         pxy = self.p / (2.0 * (1.0 + self.eta))
         return (pxy, pxy, pz)
 
-    def ops(self, targets: tuple[int, ...], arity: int) -> list[LoweredOp]:
+    def ops(self, arity: int) -> list[LoweredOp]:
         if self.p <= 0:
             return []
         # PAULI_CHANNEL_1 has arity 1, so a flattened two-qubit target
         # list is exactly the independent per-qubit application.
-        return [("PAULI_CHANNEL_1", targets, self.pauli_probs())]
+        return [("PAULI_CHANNEL_1", self.pauli_probs())]
 
     def to_payload(self) -> dict[str, Any]:
         return {"kind": self.KIND, "p": float(self.p), "eta": float(self.eta)}
@@ -252,7 +254,7 @@ class CorrelatedPauliChannel(GateChannel):
     def total(self) -> float:
         return float(sum(self.probs))
 
-    def ops(self, targets: tuple[int, ...], arity: int) -> list[LoweredOp]:
+    def ops(self, arity: int) -> list[LoweredOp]:
         if arity != 2:
             raise ValueError(
                 "correlated two-qubit channel cannot attach to a "
@@ -260,7 +262,7 @@ class CorrelatedPauliChannel(GateChannel):
             )
         if self.total() <= 0:
             return []
-        return [("PAULI_CHANNEL_2", targets, self.probs)]
+        return [("PAULI_CHANNEL_2", self.probs)]
 
     def to_payload(self) -> dict[str, Any]:
         return {"kind": self.KIND, "probs": [float(x) for x in self.probs]}

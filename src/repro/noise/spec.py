@@ -52,10 +52,18 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
-from ..circuits.circuit import Circuit
-from ..circuits.gates import GATE_ARITY, MEASURE_GATES, NOISE_GATES
+import numpy as np
+
+from ..circuits.circuit import Circuit, OpTable, gather_ragged, ragged_offsets
+from ..circuits.gates import (
+    GATE_ARITY,
+    GATE_CODES,
+    GATE_NAMES,
+    check_instruction,
+    gate_tables,
+)
 from .channels import (
     BiasedPauliChannel,
     CorrelatedPauliChannel,
@@ -84,45 +92,6 @@ def _canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _measurement_crosstalk_pairs(
-    circuit: Circuit,
-) -> dict[int, list[tuple[str, tuple[int, int]]]]:
-    """Chain-pair same-basis measurements within each TICK layer.
-
-    Returns ``{first_meas_op_idx: [(basis, (a, b)), ...]}`` — the
-    correlated flips to inject just before a layer's first measurement.
-    Qubits are paired consecutively in appearance order (overlapping
-    chain ``(q0,q1), (q1,q2), ...``), the usual nearest-neighbor
-    readout-crosstalk approximation for a multiplexed readout line.
-    """
-    pairs_at: dict[int, list[tuple[str, tuple[int, int]]]] = {}
-    layer_meas: dict[str, list[int]] = {g: [] for g in MEASURE_GATES}
-    first_idx: int | None = None
-
-    def flush():
-        nonlocal first_idx
-        pairs = [
-            (gate, (a, b))
-            for gate in sorted(layer_meas)
-            for a, b in zip(layer_meas[gate], layer_meas[gate][1:])
-        ]
-        if pairs and first_idx is not None:
-            pairs_at[first_idx] = pairs
-        for qs in layer_meas.values():
-            qs.clear()
-        first_idx = None
-
-    for idx, op in enumerate(circuit):
-        if op.gate == "TICK":
-            flush()
-        elif op.gate in MEASURE_GATES:
-            if first_idx is None:
-                first_idx = idx
-            layer_meas[op.gate].extend(op.targets)
-    flush()
-    return pairs_at
-
-
 def _scaled_args(gate: str, args: tuple[float, ...], factor: float) -> tuple:
     """Scale a noise op's probabilities, failing loudly past unity."""
     scaled = tuple(a * factor for a in args)
@@ -133,6 +102,239 @@ def _scaled_args(gate: str, args: tuple[float, ...], factor: float) -> tuple:
             f"probability to {total:g} > 1"
         )
     return scaled
+
+
+# Where a lowered row goes relative to the clean op it attaches to:
+# phase ``_OP`` is the op itself (see :meth:`NoiseSpec.apply`).
+_IDLE, _XTALK, _MEAS, _READOUT, _OP, _AFTER = range(6)
+
+
+class _Block(NamedTuple):
+    """Op-table rows with a sort key each, all of one gate class."""
+
+    keys: np.ndarray
+    gates: np.ndarray
+    tcount: np.ndarray
+    targets: np.ndarray
+    acount: np.ndarray
+    args: np.ndarray
+    label_ids: np.ndarray
+    gate_class: str
+
+    @classmethod
+    def from_rows(cls, rows: list[tuple], gate_class: str) -> "_Block":
+        """From ``(key, gate code, targets, args, label id)`` tuples."""
+        return cls(
+            keys=np.array([r[0] for r in rows], dtype=np.int64),
+            gates=np.array([r[1] for r in rows], dtype=np.int32),
+            tcount=np.array([len(r[2]) for r in rows], dtype=np.int64),
+            targets=np.array([q for r in rows for q in r[2]], dtype=np.int64),
+            acount=np.array([len(r[3]) for r in rows], dtype=np.int64),
+            args=np.array([a for r in rows for a in r[3]], dtype=np.float64),
+            label_ids=np.array([r[4] for r in rows], dtype=np.int64),
+            gate_class=gate_class,
+        )
+
+    def rows(self):
+        """The block as ``(key, gate code, targets, args, label id)``."""
+        tp = ragged_offsets(self.tcount).tolist()
+        ap = ragged_offsets(self.acount).tolist()
+        targets, args = self.targets.tolist(), self.args.tolist()
+        columns = zip(self.keys.tolist(), self.gates.tolist(), self.label_ids.tolist())
+        for i, (key, gate, label) in enumerate(columns):
+            row_args = tuple(args[ap[i] : ap[i + 1]])
+            yield key, gate, targets[tp[i] : tp[i + 1]], row_args, label
+
+
+class _Lowering:
+    """Noise rows lowered onto one clean op table, and the labels they
+    add to the clean circuit's."""
+
+    def __init__(self, circuit: Circuit):
+        self.circuit = circuit
+        self.t = circuit.table
+        self.labels = list(circuit.labels)
+        self.added: dict[tuple, int] = {}
+        self.blocks: list[_Block] = []
+
+    def label_id(self, label: tuple) -> int:
+        found = self.circuit.label_id(label, add=False)
+        if found < 0:
+            found = self.added.setdefault(label, len(self.labels))
+            if found == len(self.labels):
+                self.labels.append(label)
+        return found
+
+    def add(self, keys, gate, tcount, targets, args, label_ids, gate_class) -> None:
+        """Rows of one gate; ``args`` is ``(rows, num_args)``."""
+        args = np.asarray(args, dtype=np.float64)
+        block = _Block(
+            keys=np.asarray(keys, dtype=np.int64),
+            gates=np.full(len(keys), GATE_CODES[gate], dtype=np.int32),
+            tcount=np.asarray(tcount, dtype=np.int64),
+            targets=np.asarray(targets, dtype=np.int64),
+            acount=np.full(len(keys), args.shape[1]),
+            args=args.reshape(-1),
+            label_ids=np.asarray(label_ids, dtype=np.int64),
+            gate_class=gate_class,
+        )
+        self.blocks.append(block)
+
+    def same_targets(self, ops, phase, gate, args, gate_class) -> None:
+        """One ``gate`` row per op of ``ops``, on that op's targets and
+        with its label."""
+        t = self.t
+        ptr, targets = gather_ragged(t.target_ptr, t.targets, ops)
+        keys, label_ids = 8 * ops + phase, t.label_ids[ops]
+        self.add(keys, gate, np.diff(ptr), targets, args, label_ids, gate_class)
+
+    def channel(self, channel, ops, phase, gate_class, arity) -> None:
+        """``channel`` lowered onto every op of ``ops``."""
+        if channel is None or ops.size == 0:
+            return
+        counts = np.unique(np.diff(self.t.target_ptr)[ops]).tolist()
+        # One block per lowered instruction: the stable merge keeps an
+        # op's instructions in the channel's order.
+        for gate, args in channel.ops(arity):
+            for count in counts:
+                check_instruction(gate, count, len(args))
+            args = np.tile(args, (len(ops), 1))
+            self.same_targets(ops, phase, gate, args, gate_class)
+
+    def idle(self, p: float) -> None:
+        """One idle channel per TICK-delimited layer that has gates, on
+        the qubits none of them touches, before the TICK closing it."""
+        t = self.t
+        counts = np.diff(t.target_ptr)
+        is_tick = t.gates == GATE_CODES["TICK"]
+        layer = np.cumsum(is_tick) - is_tick  # a TICK closes the layer before
+        gate_ops = gate_tables().qubit[t.gates]
+        had_gates = np.zeros(int(is_tick.sum()) + 1, dtype=bool)
+        had_gates[layer[gate_ops]] = True
+        active = np.zeros((len(had_gates), self.circuit.num_qubits), dtype=bool)
+        on_qubits = np.repeat(gate_ops, counts)
+        active[np.repeat(layer, counts)[on_qubits], t.targets[on_qubits]] = True
+        idle = ~active & had_gates[:, None]
+        emit = np.flatnonzero(idle.any(axis=1))
+        closes = np.append(np.flatnonzero(is_tick), len(t.gates))[emit]
+        per_layer, qubits = np.nonzero(idle[emit])
+        self.add(
+            keys=8 * closes + _IDLE,
+            gate="PAULI_CHANNEL_1",
+            tcount=np.bincount(per_layer, minlength=len(emit)),
+            targets=qubits,
+            args=np.full((len(emit), 3), p),
+            label_ids=np.full(len(emit), self.label_id(("idle",))),
+            gate_class="idle",
+        )
+
+    def crosstalk(self, p: float, measure: np.ndarray) -> None:
+        """Chain-pair same-basis measurements within each TICK layer.
+
+        The correlated flips go just before a layer's first measurement.
+        Qubits are paired consecutively in appearance order (overlapping
+        chain ``(q0,q1), (q1,q2), ...``), the usual nearest-neighbor
+        readout-crosstalk approximation for a multiplexed readout line.
+        """
+        t = self.t
+        layer = np.cumsum(t.gates == GATE_CODES["TICK"])
+        by_layer: dict[int, tuple[int, dict[str, list[int]]]] = {}
+        for i in measure.tolist():
+            first, qubits = by_layer.setdefault(layer[i], (i, {"M": [], "MX": []}))
+            targets = t.targets[t.target_ptr[i] : t.target_ptr[i + 1]]
+            qubits[GATE_NAMES[t.gates[i]]].extend(targets.tolist())
+        keys, pairs = [], []
+        for first, qubits in by_layer.values():
+            for gate in sorted(qubits):
+                chain = qubits[gate]
+                for a, b in zip(chain, chain[1:]):
+                    keys.append(8 * first + _XTALK)
+                    pairs.append((gate, a, b))
+        args = np.zeros((len(pairs), 15))
+        args[np.arange(len(pairs)), [_XTALK_INDEX[g] for g, _, _ in pairs]] = p
+        self.add(
+            keys=keys,
+            gate="PAULI_CHANNEL_2",
+            tcount=np.full(len(pairs), 2),
+            targets=[q for _, a, b in pairs for q in (a, b)],
+            args=args,
+            label_ids=[self.label_id(("crosstalk", a, b)) for _, a, b in pairs],
+            gate_class="crosstalk",
+        )
+
+    def scale(self, profile, drift) -> None:
+        """Apply profile and drift multipliers row by row.
+
+        Target groups with distinct scale factors are split into
+        separate rows; consecutive equal-factor groups stay fused so
+        the uniform case emits the exact unscaled rows.
+        """
+        rounds = _op_rounds(self.t, self.labels)
+        scaled = []
+        for block in self.blocks:
+            rows = []
+            for key, code, targets, args, label in block.rows():
+                gate = GATE_NAMES[code]
+                arity = GATE_ARITY[gate]
+                groups = [
+                    tuple(targets[i : i + arity]) for i in range(0, len(targets), arity)
+                ]
+                factor = 1.0 if drift is None else drift.factor(int(rounds[key // 8]))
+                factors = [
+                    factor
+                    * (1.0 if profile is None else profile.scale(block.gate_class, g))
+                    for g in groups
+                ]
+                start = 0
+                for i in range(1, len(groups) + 1):
+                    if i < len(groups) and factors[i] == factors[start]:
+                        continue
+                    run = [q for g in groups[start:i] for q in g]
+                    f = factors[start]
+                    run_args = args if f == 1.0 else _scaled_args(gate, args, f)
+                    rows.append((key, code, run, run_args, label))
+                    start = i
+            scaled.append(_Block.from_rows(rows, block.gate_class))
+        self.blocks = scaled
+
+    def merge(self) -> Circuit:
+        """The clean rows and every noise row, in sort-key order."""
+        t = self.t
+        clean = _Block(
+            8 * np.arange(len(t.gates)) + _OP,
+            t.gates,
+            np.diff(t.target_ptr),
+            t.targets,
+            np.diff(t.arg_ptr),
+            t.args,
+            t.label_ids,
+            "",
+        )
+        columns = zip(*(block[:7] for block in [clean] + self.blocks))
+        keys, gates, tcount, targets, acount, args, label_ids = (
+            np.concatenate(column) for column in columns
+        )
+        order = np.argsort(keys, kind="stable")
+        target_ptr, targets = gather_ragged(ragged_offsets(tcount), targets, order)
+        arg_ptr, args = gather_ragged(ragged_offsets(acount), args, order)
+        table = OpTable(
+            gates[order].astype(np.int32),
+            target_ptr,
+            targets,
+            arg_ptr,
+            args,
+            label_ids[order].astype(np.int32),
+        )
+        return Circuit.from_table(table, self.labels)
+
+
+def _op_rounds(t: OpTable, labels: list[tuple]) -> np.ndarray:
+    """The QEC round each op is lowered in, from builder op labels
+    (monotonic max; unlabeled circuits stay at round 0, making drift a
+    uniform scaling there), plus one trailing entry for the end."""
+    per_label = [max(label_round(lab) or 0, 0) for lab in labels]
+    per_op = np.array(per_label, dtype=np.int64)[t.label_ids]
+    return np.maximum.accumulate(np.append(per_op, 0))
 
 
 @dataclass(frozen=True)
@@ -277,127 +479,37 @@ class NoiseSpec:
         set, lowered instructions are split by distinct scale factor;
         with neither (or with uniform ones) the lowering is op-for-op
         identical to the unscaled spec.
+
+        The lowering works on the op table: every noise row gets the
+        sort key ``8 * (index of the clean op it attaches to) + phase``
+        (idle rows before the TICK closing their layer; crosstalk, the
+        measurement channel and readout before a measurement; gate
+        channels after their gate), and one stable sort by key
+        interleaves them with the clean rows.
         """
-        if any(op.is_noise() for op in circuit):
+        gates = circuit.table.gates
+        if gate_tables().noise[gates].any():
             raise ValueError("circuit already contains noise operations")
-        noisy = Circuit()
-        all_qubits = frozenset(range(circuit.num_qubits))
-        idle_p = self.idle_pauli_prob
-        profile = self.profile
-        drift = self.drift
-        xtalk_at = (
-            _measurement_crosstalk_pairs(circuit) if self.crosstalk > 0 else {}
-        )
-
-        # The QEC round currently being lowered, from builder op labels
-        # (monotonic max; unlabeled circuits stay at round 0, making
-        # drift a uniform scaling there).
-        current_round = 0
-
-        layer_active: set[int] = set()
-        layer_had_gates = False
-
-        def append_scaled(gate, targets, args, gate_class, label):
-            """Append one lowered noise op, profile/drift-scaled.
-
-            Target groups with distinct scale factors are split into
-            separate ops; consecutive equal-factor groups stay fused so
-            the uniform case emits the exact legacy op sequence.
-            """
-            if profile is None and drift is None:
-                noisy.append(gate, targets, args=args, label=label)
-                return
-            arity = GATE_ARITY[gate]
-            groups = [
-                tuple(targets[i : i + arity]) for i in range(0, len(targets), arity)
-            ]
-            round_factor = drift.factor(current_round) if drift is not None else 1.0
-            factors = [
-                round_factor
-                * (profile.scale(gate_class, g) if profile is not None else 1.0)
-                for g in groups
-            ]
-            start = 0
-            for i in range(1, len(groups) + 1):
-                if i < len(groups) and factors[i] == factors[start]:
-                    continue
-                run = [q for g in groups[start:i] for q in g]
-                f = factors[start]
-                noisy.append(
-                    gate,
-                    run,
-                    args=args if f == 1.0 else _scaled_args(gate, args, f),
-                    label=label,
-                )
-                start = i
-
-        def emit(channel: GateChannel | None, op, gate_class: str) -> None:
-            if channel is None:
-                return
-            arity = GATE_ARITY[op.gate]
-            for gate, targets, args in channel.ops(op.targets, arity):
-                append_scaled(gate, targets, args, gate_class, op.label)
-
-        def close_layer():
-            nonlocal layer_had_gates
-            if idle_p > 0 and layer_had_gates:
-                idle = sorted(all_qubits - layer_active)
-                if idle:
-                    append_scaled(
-                        "PAULI_CHANNEL_1",
-                        idle,
-                        (idle_p, idle_p, idle_p),
-                        "idle",
-                        ("idle",),
-                    )
-            layer_active.clear()
-            layer_had_gates = False
-
-        for op_idx, op in enumerate(circuit):
-            if op.gate == "TICK":
-                close_layer()
-                noisy.operations.append(op)
-                continue
-            round_index = label_round(op.label)
-            if round_index is not None and round_index > current_round:
-                current_round = round_index
-            if op.gate in GATE_ARITY and op.gate not in NOISE_GATES:
-                layer_active.update(op.targets)
-                layer_had_gates = True
-            if op.gate in MEASURE_GATES:
-                for basis, pair in xtalk_at.get(op_idx, ()):
-                    args = [0.0] * 15
-                    args[_XTALK_INDEX[basis]] = self.crosstalk
-                    append_scaled(
-                        "PAULI_CHANNEL_2",
-                        pair,
-                        tuple(args),
-                        "crosstalk",
-                        ("crosstalk",) + pair,
-                    )
-                emit(self.meas, op, "meas")
-                if self.readout > 0:
-                    # Basis-aligned flip: X toggles a Z-basis outcome,
-                    # Z toggles an X-basis outcome.
-                    args = (
-                        (self.readout, 0.0, 0.0)
-                        if op.gate == "M"
-                        else (0.0, 0.0, self.readout)
-                    )
-                    append_scaled(
-                        "PAULI_CHANNEL_1", op.targets, args, "readout", op.label
-                    )
-                noisy.operations.append(op)
-            elif op.gate == "CNOT":
-                noisy.operations.append(op)
-                emit(self.cnot, op, "cnot")
-            elif op.gate in ("R", "RX", "H"):
-                noisy.operations.append(op)
-                emit(self.sq, op, "sq")
-            else:
-                noisy.operations.append(op)
-        close_layer()
-        return noisy
+        lowering = _Lowering(circuit)
+        measure = np.flatnonzero(gate_tables().measure[gates])
+        if self.crosstalk > 0:
+            lowering.crosstalk(self.crosstalk, measure)
+        lowering.channel(self.meas, measure, _MEAS, "meas", 1)
+        if self.readout > 0:
+            # Basis-aligned flip: X toggles a Z-basis outcome, Z toggles
+            # an X-basis outcome.
+            is_m = (gates[measure] == GATE_CODES["M"])[:, None]
+            args = np.where(is_m, [self.readout, 0.0, 0.0], [0.0, 0.0, self.readout])
+            lowering.same_targets(measure, _READOUT, "PAULI_CHANNEL_1", args, "readout")
+        cnot = np.flatnonzero(gates == GATE_CODES["CNOT"])
+        lowering.channel(self.cnot, cnot, _AFTER, "cnot", 2)
+        sq = np.flatnonzero(np.isin(gates, [GATE_CODES[g] for g in ("R", "RX", "H")]))
+        lowering.channel(self.sq, sq, _AFTER, "sq", 1)
+        if self.idle_pauli_prob > 0:
+            lowering.idle(self.idle_pauli_prob)
+        if self.profile is not None or self.drift is not None:
+            lowering.scale(self.profile, self.drift)
+        return lowering.merge()
 
     # -- serialization / hashing ---------------------------------------------
 

@@ -7,30 +7,32 @@ detectors and logical observables it flips.  The result is the
 circuit-level check matrix ``H`` and observable matrix ``L`` of §2.7:
 columns are error mechanisms, rows are detectors / observables.
 
-The walk runs *backwards*, as Stim's error analyzer does (Gidney, "Stim:
-a fast stabilizer circuit simulator", Quantum 5, 497 (2021)).  A forward
-scan first gives every measurement its set of detectors and observables.
-Walking back from the end, each qubit carries two *sensitivity rows*:
-the detectors/observables an X (resp. Z) error on it at this point would
+Everything is read from the circuit's op table
+(:class:`~repro.circuits.circuit.OpTable`).  The walk runs *backwards*,
+as Stim's error analyzer does (Gidney, "Stim: a fast stabilizer circuit
+simulator", Quantum 5, 497 (2021)).  A forward scan first gives every
+measurement its set of detectors and observables.  Walking back from
+the end, each qubit carries two *sensitivity rows*: the
+detectors/observables an X (resp. Z) error on it at this point would
 flip.  ``M`` XORs its measurement's set into the X row (``MX`` into the
 Z row), ``R``/``RX`` clear both rows, ``H`` swaps them, and ``CNOT(c,
 t)`` does ``sx[c] ^= sx[t]``, ``sz[t] ^= sz[c]``.  At each noise op the
-rows of its qubits are snapshotted; afterwards every fault's signature
-is the XOR of at most four snapshot rows (X and Z on each qubit, Y = X
-xor Z), gathered for all faults at once.  The walk costs one step per
-gate, however many faults there are.
+rows of its qubits are snapshotted (the :func:`repro.gf2.kernels.walk_back`
+kernel); afterwards every fault's signature is the XOR of its Paulis'
+rows (X and Z on each qubit, Y = X xor Z), built for all faults at
+once.  The walk costs one step per gate, however many faults there are.
 
 Faults with identical (detector set, observable set) signatures merge
 into one mechanism, ordered by their first fault in forward site order,
 with probabilities composed as ``p = p1(1-p2) + p2(1-p1)`` in site
-order.  Gate provenance is how PropHunt maps errors back to schedule
-edges (§5.3).
+order (the :func:`repro.gf2.kernels.group_faults` kernel).  Gate
+provenance is how PropHunt maps errors back to schedule edges (§5.3).
 
 :class:`DetectorErrorModel` stores arrays: probabilities, packed
-signature rows, and per-fault provenance.  Its ``mechanisms`` list of
-``ErrorMechanism``/``ErrorSource`` objects is a view built on first
-access and cached; the decoders, the decoding graph and PropHunt's §5.3
-and §5.4 steps read the arrays and never build it.
+signature rows, and per-fault provenance into the circuit's table.  Its
+``mechanisms`` list of ``ErrorMechanism``/``ErrorSource`` objects is a
+view built on first access and cached; the decoders, the decoding graph
+and PropHunt's §5.3 and §5.4 steps read the arrays and never build it.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from ..circuits.circuit import Circuit
-from ..circuits.gates import Operation
+from ..circuits.circuit import Circuit, OpTable, gather_ragged
+from ..circuits.gates import GATE_CODES, GATE_NAMES, gate_tables
 from ..gf2 import kernels
 from ..gf2.bitmat import unpack_rows
 
@@ -73,28 +75,32 @@ _NOISE_ARITY = {
 _MAX_SLOTS = len(_TWO_QUBIT_PAULIS)
 
 
-def _slot_uses(arity: int) -> np.ndarray:
-    """``(15, 4)`` bool: does slot ``s`` use snapshot row ``r`` of its
-    group (rows X0, Z0, X1, Z1)?  Unused slots use no row."""
-    uses = np.zeros((_MAX_SLOTS, 4), dtype=bool)
-    for s, paulis in enumerate(_CHANNEL_PAULIS.get(arity, ())):
-        for k, p in enumerate(paulis):
-            uses[s, 2 * k] = p in ("X", "Y")
-            uses[s, 2 * k + 1] = p in ("Z", "Y")
-    return uses
+# Each channel slot's two Paulis as codes (I=0, X=1, Y=2, Z=3; the
+# second is I for one-qubit channels), indexed [arity, slot].
+_PAULI_LETTERS = "IXYZ"
+_SLOT_PAULIS = np.zeros((3, _MAX_SLOTS, 2), dtype=np.int64)
+for _arity, _paulis in _CHANNEL_PAULIS.items():
+    for _s, _pattern in enumerate(_paulis):
+        for _k, _p in enumerate(_pattern):
+            _SLOT_PAULIS[_arity, _s, _k] = _PAULI_LETTERS.index(_p)
+
+_ONE_QUBIT_NOISE = [GATE_CODES[g] for g, a in _NOISE_ARITY.items() if a == 1]
+_DEPOLARIZE = [GATE_CODES["DEPOLARIZE1"], GATE_CODES["DEPOLARIZE2"]]
 
 
-_SLOT_USES = np.stack([_slot_uses(arity) for arity in range(3)])  # [arity, slot]
-
-
-def _channel_probs(op: Operation) -> tuple[list[float], bool]:
-    """Per-slot fault probabilities of one noise op, and whether slots of
-    zero probability are dropped (explicit Pauli channels) or kept."""
-    if op.gate == "DEPOLARIZE1":
-        return [op.args[0] / 3.0] * 3, False
-    if op.gate == "DEPOLARIZE2":
-        return [op.args[0] / 15.0] * 15, False
-    return list(op.args), True
+def _pauli_key(pauli: str) -> int:
+    """A fault's Pauli string (``"X3*Z5"``) as the integer key
+    :meth:`DetectorErrorModel.source_names` gives it, or -1 if it names
+    no fault: up to two ``code | qubit << 2`` terms, first term high."""
+    terms = []
+    for term in pauli.split("*"):
+        letter, qubit = term[:1], term[1:]
+        if letter not in "XYZ" or not letter or not qubit.isdigit():
+            return -1
+        terms.append(_PAULI_LETTERS.index(letter) | int(qubit) << 2)
+    if len(terms) > 2:
+        return -1
+    return terms[0] << 32 | (terms[1] if len(terms) == 2 else 0)
 
 
 def pack_bits(indices, width: int) -> np.ndarray:
@@ -132,17 +138,6 @@ class ErrorMechanism:
     sources: tuple[ErrorSource, ...]
 
 
-def _pauli_name(op: Operation, slot: int) -> tuple[str, tuple[int, ...]]:
-    """Fault ``slot`` of a noise op as ``ErrorSource`` names it: its
-    Pauli string (``"X3*Z5"``, identities left out) and its qubits."""
-    arity = _NOISE_ARITY[op.gate]
-    paulis = _CHANNEL_PAULIS[arity]
-    group, s = divmod(slot, len(paulis))
-    qubits = op.targets[group * arity : (group + 1) * arity]
-    terms = [(p, q) for p, q in zip(paulis[s], qubits) if p != "I"]
-    return "*".join(f"{p}{q}" for p, q in terms), tuple(q for _, q in terms)
-
-
 class DetectorErrorModel:
     """Circuit-level H/L as arrays.
 
@@ -151,10 +146,13 @@ class DetectorErrorModel:
       is detector ``d`` and bit ``D + o`` observable ``o``
       (:func:`repro.gf2.bitmat.pack_rows` layout);
     * per-fault provenance, one entry per single-Pauli fault in forward
-      site order: ``fault_op`` indexes ``noise_ops``, ``fault_slot`` is
-      ``group * K + pauli`` within that op (``K`` = 3 or 15 channel
+      site order: ``fault_op`` indexes ``noise_index`` (the rows of the
+      source ``circuit``'s op table that hold noise ops), ``fault_slot``
+      is ``group * K + pauli`` within that op (``K`` = 3 or 15 channel
       Paulis), ``fault_mechanism`` is the mechanism the fault merged
-      into, or -1 for a fault that flips nothing.
+      into, or -1 for a fault that flips nothing.  A fault's name, as
+      ``ErrorSource`` gives it, is read from the circuit's table when
+      asked for (:meth:`source_names`, :meth:`locate_fault`).
 
     The signature layout is read only here: consumers take H and L as
     CSR (:meth:`check_matrices`), H's packed columns
@@ -170,7 +168,8 @@ class DetectorErrorModel:
         num_detectors: int,
         num_observables: int,
         detector_labels: list[tuple] | None = None,
-        noise_ops: tuple[Operation, ...] = (),
+        circuit: Circuit | None = None,
+        noise_index: np.ndarray | None = None,
         fault_op: np.ndarray | None = None,
         fault_slot: np.ndarray | None = None,
         fault_mechanism: np.ndarray | None = None,
@@ -181,17 +180,23 @@ class DetectorErrorModel:
         self.num_detectors = num_detectors
         self.num_observables = num_observables
         self.detector_labels = list(detector_labels or [])
-        self.noise_ops = noise_ops
+        self.circuit = circuit
+        self.noise_index = empty if noise_index is None else noise_index
         self.fault_op = empty if fault_op is None else fault_op
         self.fault_slot = empty if fault_slot is None else fault_slot
         self.fault_mechanism = empty if fault_mechanism is None else fault_mechanism
         # Read-only, so the cached object view cannot drift from them.
         for array in (
-            probs, signatures, self.fault_op, self.fault_slot, self.fault_mechanism
+            probs,
+            signatures,
+            self.noise_index,
+            self.fault_op,
+            self.fault_slot,
+            self.fault_mechanism,
         ):
             array.setflags(write=False)
         self._mechanisms: list[ErrorMechanism] | None = None
-        self._ops_by_label: dict[tuple, list[int]] | None = None
+        self._by_mechanism: tuple[np.ndarray, np.ndarray] | None = None
         self._check_matrices: tuple[sparse.csr_matrix, sparse.csr_matrix] | None = None
 
     @classmethod
@@ -235,8 +240,10 @@ class DetectorErrorModel:
         """Object view of every mechanism, built once on first access."""
         if self._mechanisms is None:
             sources: list[list[ErrorSource]] = [[] for _ in range(self.num_errors)]
-            for f in np.flatnonzero(self.fault_mechanism >= 0).tolist():
-                sources[self.fault_mechanism[f]].append(self._source(f))
+            faults = np.flatnonzero(self.fault_mechanism >= 0)
+            owners = self.fault_mechanism[faults].tolist()
+            for j, src in zip(owners, self._sources(faults)):
+                sources[j].append(src)
             dets, obs = self.supports()
             self._mechanisms = [
                 ErrorMechanism(prob, d, o, tuple(s))
@@ -250,14 +257,95 @@ class DetectorErrorModel:
             return self._mechanisms[j]
         det_bits, obs_bits = self.bits(self.signatures[j : j + 1])
         (dets,), (obs,) = _row_tuples(det_bits), _row_tuples(obs_bits)
-        faults = np.flatnonzero(self.fault_mechanism == j).tolist()
-        sources = tuple(self._source(f) for f in faults)
+        sources = tuple(self._sources(self.faults_of(j)))
         return ErrorMechanism(float(self.probs[j]), dets, obs, sources)
 
-    def _source(self, f: int) -> ErrorSource:
-        op = self.noise_ops[self.fault_op[f]]
-        pauli, qubits = _pauli_name(op, int(self.fault_slot[f]))
-        return ErrorSource(label=op.label, pauli=pauli, qubits=qubits)
+    def faults_of(self, j: int) -> np.ndarray:
+        """The faults merged into mechanism ``j``, in site order."""
+        if self._by_mechanism is None:
+            order = np.argsort(self.fault_mechanism, kind="stable")
+            ptr = np.searchsorted(
+                self.fault_mechanism[order], np.arange(self.num_errors + 1)
+            )
+            self._by_mechanism = order, ptr
+        order, ptr = self._by_mechanism
+        return order[ptr[j] : ptr[j + 1]]
+
+    def _fault_names(self, faults: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per fault: its op's label id and its Pauli key (the
+        :func:`_pauli_key` of the string ``ErrorSource`` gives it)."""
+        t = self.circuit.table
+        rows = self.noise_index[self.fault_op[faults]]
+        arity = np.where(np.isin(t.gates[rows], _ONE_QUBIT_NOISE), 1, 2)
+        group, slot = np.divmod(self.fault_slot[faults], np.where(arity == 1, 3, 15))
+        base = t.target_ptr[rows] + group * arity
+        paulis = _SLOT_PAULIS[arity, slot]
+        qubits = np.stack([t.targets[base], t.targets[base + arity - 1]], axis=1)
+        terms = np.where(paulis > 0, paulis | qubits << 2, 0)
+        # Identities are left out: a lone second term moves up front.
+        first = np.where(terms[:, 0] > 0, terms[:, 0], terms[:, 1])
+        second = np.where(terms[:, 0] > 0, terms[:, 1], 0)
+        return t.label_ids[rows], first << 32 | second
+
+    def _sources(self, faults: np.ndarray) -> list[ErrorSource]:
+        if faults.size == 0:
+            return []
+        label_ids, keys = self._fault_names(faults)
+        labels = self.circuit.labels
+        out = []
+        for lab, key in zip(label_ids.tolist(), keys.tolist()):
+            terms = [t for t in (key >> 32, key & 0xFFFFFFFF) if t]
+            out.append(
+                ErrorSource(
+                    label=labels[lab],
+                    pauli="*".join(f"{_PAULI_LETTERS[t & 3]}{t >> 2}" for t in terms),
+                    qubits=tuple(t >> 2 for t in terms),
+                )
+            )
+        return out
+
+    def source_names(self, j: int) -> list[tuple[tuple, int]]:
+        """Mechanism ``j``'s sources in site order, each named by its gate
+        label and the integer key of its Pauli string (equal keys, equal
+        strings), read from the arrays."""
+        if self.circuit is None:
+            return [(s.label, _pauli_key(s.pauli)) for s in self.mechanism(j).sources]
+        label_ids, keys = self._fault_names(self.faults_of(j))
+        labels = self.circuit.labels
+        return [(labels[i], key) for i, key in zip(label_ids.tolist(), keys.tolist())]
+
+    def locate_faults(self, names: list[tuple[tuple, int]]) -> np.ndarray:
+        """For each ``(label, pauli key)``: the mechanism holding that
+        fault, or -1.  When several visible faults share the name, the
+        last in mechanism order wins."""
+        found = np.full(len(names), -1, dtype=np.int64)
+        if self.circuit is None or not names:
+            return found
+        wanted = [self.circuit.label_id(label, add=False) for label, _ in names]
+        # Only the visible faults of noise ops carrying a wanted label.
+        noise_labels = self.circuit.table.label_ids[self.noise_index]
+        ops = np.flatnonzero(np.isin(noise_labels, [i for i in wanted if i >= 0]))
+        op_faults = np.searchsorted(self.fault_op, np.arange(len(self.noise_index) + 1))
+        _, faults = gather_ragged(op_faults, np.arange(len(self.fault_op)), ops)
+        faults = faults[self.fault_mechanism[faults] >= 0]
+        label_ids, keys = self._fault_names(faults)
+        best: dict[tuple[int, int], int] = {}
+        mechanisms = self.fault_mechanism[faults].tolist()
+        for name, m in zip(zip(label_ids.tolist(), keys.tolist()), mechanisms):
+            best[name] = max(m, best.get(name, -1))
+        for i, (label_id, (_, key)) in enumerate(zip(wanted, names)):
+            found[i] = best.get((label_id, key), -1)
+        return found
+
+    def locate_fault(self, label: tuple, pauli: str) -> int:
+        """The mechanism holding the fault ``(label, pauli)``, or -1.
+
+        Faults are named as ``ErrorSource`` names them.  When several
+        visible faults share the name, the last in mechanism order wins
+        (mechanism index, then site order): the same answer as indexing
+        every source of ``mechanisms`` in order, without building them.
+        """
+        return int(self.locate_faults([(label, _pauli_key(pauli))])[0])
 
     def supports(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
         """Per mechanism: its detector tuple and its observable tuple."""
@@ -314,30 +402,6 @@ class DetectorErrorModel:
         hits = obs.any(axis=1) & ~dets.any(axis=1)
         return [self.mechanism(j) for j in np.flatnonzero(hits).tolist()]
 
-    def locate_fault(self, label: tuple, pauli: str) -> int:
-        """The mechanism holding the fault ``(label, pauli)``, or -1.
-
-        Faults are named as ``ErrorSource`` names them.  When several
-        visible faults share the name, the last in mechanism order wins
-        (mechanism index, then site order): the same answer as indexing
-        every source of ``mechanisms`` in order, without building them.
-        """
-        if self._ops_by_label is None:
-            self._ops_by_label = {}
-            for i, op in enumerate(self.noise_ops):
-                self._ops_by_label.setdefault(op.label, []).append(i)
-        best = (-1, -1)
-        for i in self._ops_by_label.get(label, ()):
-            lo, hi = np.searchsorted(self.fault_op, [i, i + 1])
-            for f in range(lo, hi):
-                m = int(self.fault_mechanism[f])
-                if m < 0 or (m, f) <= best:
-                    continue
-                name, _ = _pauli_name(self.noise_ops[i], int(self.fault_slot[f]))
-                if name == pauli:
-                    best = (m, f)
-        return best[0]
-
     def fingerprint(self) -> str:
         """Content hash of the error model, for content-addressed caches.
 
@@ -373,140 +437,108 @@ def _row_tuples(bits: np.ndarray) -> list[tuple[int, ...]]:
     return out
 
 
-def _scan(ops: list[Operation]):
-    """Forward pass: each measurement's detector/observable bit sets."""
-    meas_dets: list[int] = []
-    meas_obs: list[int] = []
-    detector_labels: list[tuple] = []
-    num_observables = 0
-    for op in ops:
-        gate = op.gate
-        if gate in ("M", "MX"):
-            meas_dets.extend([0] * len(op.targets))
-            meas_obs.extend([0] * len(op.targets))
-        elif gate == "DETECTOR":
-            bit = 1 << len(detector_labels)
-            for idx in op.targets:
-                meas_dets[idx] ^= bit
-            detector_labels.append(op.label)
-        elif gate == "OBSERVABLE_INCLUDE":
-            k = int(op.args[0])
-            for idx in op.targets:
-                meas_obs[idx] ^= 1 << k
-            num_observables = max(num_observables, k + 1)
-        elif op.is_noise() and gate not in _NOISE_ARITY:
-            # A channel lowering to a noise gate outside this set would
-            # otherwise yield a DEM silently missing mechanisms — the
-            # decoder would run happily against the wrong error model.
-            raise ValueError(f"DEM extraction has no lowering for noise gate {gate!r}")
-    shift = len(detector_labels)
-    meas_bits = [d | (o << shift) for d, o in zip(meas_dets, meas_obs)]
-    return meas_bits, detector_labels, num_observables
+def _scan(circuit: Circuit):
+    """Forward pass: each measurement's detector/observable bits, as
+    ``(measurements, nwords)`` uint64 rows; the detector labels; the
+    number of observables."""
+    t = circuit.table
+    gates = t.gates
+    noise = gate_tables().noise[gates]
+    unlowered = np.flatnonzero(noise & ~np.isin(gates, list(kernels.WALK_NOISE_CODES)))
+    if unlowered.size:
+        # A channel lowering to a noise gate outside this set would
+        # otherwise yield a DEM silently missing mechanisms — the
+        # decoder would run happily against the wrong error model.
+        gate = GATE_NAMES[gates[unlowered[0]]]
+        raise ValueError(f"DEM extraction has no lowering for noise gate {gate!r}")
+    counts = np.diff(t.target_ptr)
+    measured = counts * gate_tables().measure[gates]
+    before = np.cumsum(measured) - measured  # measurements before each op
+    detectors = np.flatnonzero(gates == GATE_CODES["DETECTOR"])
+    observables = np.flatnonzero(gates == GATE_CODES["OBSERVABLE_INCLUDE"])
+    obs_index = t.args[t.arg_ptr[observables]].astype(np.int64)
+    num_detectors = len(detectors)
+    num_observables = int(obs_index.max()) + 1 if obs_index.size else 0
+    nwords = max(1, -(-(num_detectors + num_observables) // 64))
+
+    ops = np.concatenate([detectors, observables])
+    bits = np.concatenate([np.arange(num_detectors), num_detectors + obs_index])
+    ptr, refs = gather_ragged(t.target_ptr, t.targets, ops)
+    per_op = np.diff(ptr)
+    ref_op, ref_bit = np.repeat(ops, per_op), np.repeat(bits, per_op)
+    bad = np.flatnonzero((refs < 0) | (refs >= before[ref_op]))
+    if bad.size:
+        i = bad[np.argmin(ref_op[bad])]
+        raise ValueError(
+            f"{GATE_NAMES[gates[ref_op[i]]]} references measurement {refs[i]}, "
+            f"only {before[ref_op[i]]} recorded so far"
+        )
+    meas_rows = np.zeros((int(measured.sum()), nwords), dtype=np.uint64)
+    one = np.ones(len(refs), dtype=np.uint64)
+    np.bitwise_xor.at(
+        meas_rows, (refs, ref_bit >> 6), one << (ref_bit & 63).astype(np.uint64)
+    )
+    labels = circuit.labels
+    detector_labels = [labels[i] for i in t.label_ids[detectors].tolist()]
+    return meas_rows, detector_labels, num_observables
 
 
-def _walk_back(ops: list[Operation], num_qubits: int, meas_bits: list[int]):
-    """Backward pass: snapshot each noise op's sensitivity rows.
-
-    Returns the snapshot rows as Python ints (row 0 is an all-zero
-    sentinel) and, per noise op in forward order, ``(op, first row)``;
-    an op's rows are X then Z per target, in target order.
-    """
-    sx = [0] * num_qubits
-    sz = [0] * num_qubits
-    snaps = [0]
-    noise: list[tuple[Operation, int]] = []
-    m = len(meas_bits)
-    for op in reversed(ops):
-        gate, t = op.gate, op.targets
-        if gate == "CNOT":
-            for i in range(len(t) - 2, -1, -2):
-                c, tg = t[i], t[i + 1]
-                sx[c] ^= sx[tg]
-                sz[tg] ^= sz[c]
-        elif gate == "H":
-            for q in t:
-                sx[q], sz[q] = sz[q], sx[q]
-        elif gate in ("R", "RX"):
-            for q in t:
-                sx[q] = sz[q] = 0
-        elif gate == "M":
-            for q in reversed(t):
-                m -= 1
-                sx[q] ^= meas_bits[m]
-        elif gate == "MX":
-            for q in reversed(t):
-                m -= 1
-                sz[q] ^= meas_bits[m]
-        elif gate in _NOISE_ARITY:
-            noise.append((op, len(snaps)))
-            for q in t:
-                snaps.append(sx[q])
-                snaps.append(sz[q])
-    noise.reverse()
-    return snaps, noise
-
-
-def _fault_table(noise: list[tuple[Operation, int]]):
+def _fault_table(t: OpTable, noise_index: np.ndarray, snaps: np.ndarray):
     """Every emitted fault, in forward site order (op, group, slot).
 
     Returns per fault: its noise-op index, channel slot, probability and
-    the four snapshot rows whose XOR is its signature (row 0, the zero
-    sentinel, where a slot does not touch that row).
+    signature.  ``snaps`` are the walk's snapshot rows, written last op
+    first, two per target; a fault's signature is the XOR of the rows
+    its slot uses among its group's X0, Z0, X1, Z1.
     """
-    arity, groups, first, probs, keep_zero = [], [], [], [], []
-    for op, row in noise:
-        a = _NOISE_ARITY[op.gate]
-        slot_probs, drop_zero = _channel_probs(op)
-        arity.append(a)
-        groups.append(len(op.targets) // a)
-        first.append(row)
-        probs.append(slot_probs + [0.0] * (_MAX_SLOTS - len(slot_probs)))
-        keep_zero.append(not drop_zero)
-    groups = np.array(groups, dtype=np.int64)
-    op_of = np.repeat(np.arange(len(noise)), groups)  # per target group
+    codes = t.gates[noise_index]
+    targets = np.diff(t.target_ptr)[noise_index]
+    first = 1 + 2 * (targets.sum() - np.cumsum(targets))
+    one_qubit = (codes == _ONE_QUBIT_NOISE[0]) | (codes == _ONE_QUBIT_NOISE[1])
+    slots = np.arange(_MAX_SLOTS)
+    # Explicit Pauli channels list their slot probabilities and drop the
+    # zero ones; DEPOLARIZE* split their one argument evenly and keep
+    # every slot.
+    arg_index = t.arg_ptr[noise_index][:, None] + slots
+    has_arg = slots < np.diff(t.arg_ptr)[noise_index][:, None]
+    op_probs = np.where(has_arg, t.args[np.where(has_arg, arg_index, 0)], 0.0)
+    keep_zero = (codes == _DEPOLARIZE[0]) | (codes == _DEPOLARIZE[1])
+    even = t.args[t.arg_ptr[noise_index][keep_zero]] / np.where(
+        one_qubit[keep_zero], 3.0, 15.0
+    )
+    num_slots = np.where(one_qubit, 3, _MAX_SLOTS)
+    op_probs[keep_zero] = np.where(
+        slots < num_slots[keep_zero, None], even[:, None], 0.0
+    )
+
+    arity = np.where(one_qubit, 1, 2)
+    groups = targets // arity
+    op_of = np.repeat(np.arange(len(noise_index)), groups)  # per target group
     pos = np.arange(op_of.size) - np.repeat(np.cumsum(groups) - groups, groups)
-    arity = np.array(arity, dtype=np.int64)[op_of]
-    num_slots = np.where(arity == 1, 3, _MAX_SLOTS)
-    probs = np.array(probs, dtype=np.float64).reshape(-1, _MAX_SLOTS)[op_of]
-    emit = np.arange(_MAX_SLOTS) < num_slots[:, None]
-    emit &= (probs > 0) | np.array(keep_zero, dtype=bool)[op_of, None]
+    arity, num_slots, probs = arity[op_of], num_slots[op_of], op_probs[op_of]
+    emit = slots < num_slots[:, None]
+    emit &= (probs > 0) | keep_zero[op_of, None]
 
-    g, s = np.nonzero(emit)
-    base = np.array(first, dtype=np.int64)[op_of[g]] + 2 * arity[g] * pos[g]
-    rows = np.where(_SLOT_USES[arity[g], s], base[:, None] + np.arange(4), 0)
-    slot = pos[g] * num_slots[g] + s
-    return op_of[g].astype(np.int32), slot.astype(np.int32), probs[g, s], rows
-
-
-def _group_signatures(sig: np.ndarray, merge: bool):
-    """Mechanisms from fault signatures: ``(signatures, mechanism of
-    each visible fault, visible fault indices)``, mechanisms ordered by
-    their first fault."""
-    visible = np.flatnonzero(sig.any(axis=1))
-    if not merge or visible.size == 0:
-        return sig[visible], np.arange(visible.size), visible
-    uniq, inv = kernels.unique_shot_words(sig[visible])
-    _, first = np.unique(inv, return_index=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return uniq[order], rank[inv], visible
-
-
-def _compose(mech_of: np.ndarray, fault_prob: np.ndarray, num: int) -> np.ndarray:
-    """Each mechanism's probability, composed over its faults in site
-    order with one elementwise step per member rank."""
-    probs = np.zeros(num, dtype=np.float64)
-    by_mech = np.argsort(mech_of, kind="stable")
-    members, member_probs = mech_of[by_mech], fault_prob[by_mech]
-    starts = np.flatnonzero(np.r_[True, members[1:] != members[:-1]])
-    counts = np.diff(np.r_[starts, members.size])
-    rank = np.arange(members.size) - np.repeat(starts, counts)
-    for r in range(int(rank.max(initial=-1)) + 1):
-        j, p = members[rank == r], member_probs[rank == r]
-        a = probs[j]
-        probs[j] = p if r == 0 else a * (1 - p) + p * (1 - a)
-    return probs
+    # Each group's rows X0, Z0, X1, Z1 (row 0, the zero sentinel, for
+    # the missing second qubit of a one-qubit group).  The Pauli I, X,
+    # Y, Z on qubit k flips 0, Xk, Xk^Zk, Zk, and a slot flips the XOR
+    # of its two Paulis'.
+    rows = (first[op_of] + 2 * arity * pos)[:, None] + np.arange(4)
+    rows[arity == 1, 2:] = 0
+    x0, z0, x1, z1 = np.moveaxis(snaps[rows], 1, 0)
+    zero = np.zeros_like(x0)
+    nwords = snaps.shape[1]
+    on_first = np.stack([zero, x0, x0 ^ z0, z0], axis=1).reshape(-1, nwords)
+    on_second = np.stack([zero, x1, x1 ^ z1, z1], axis=1).reshape(-1, nwords)
+    base = 4 * np.arange(len(rows))[:, None]
+    one = arity[:, None] == 1
+    for k, on_qubit in enumerate((on_first, on_second)):
+        pauli = np.where(one, _SLOT_PAULIS[1, :, k], _SLOT_PAULIS[2, :, k])
+        flips = on_qubit.take((base + pauli)[emit], axis=0)
+        sig = flips if k == 0 else sig ^ flips
+    slot = (pos * num_slots)[:, None] + slots
+    fault_op = np.broadcast_to(op_of[:, None], emit.shape)[emit]
+    return fault_op.astype(np.int32), slot[emit].astype(np.int32), probs[emit], sig
 
 
 def extract_dem(circuit: Circuit, merge: bool = True) -> DetectorErrorModel:
@@ -514,28 +546,22 @@ def extract_dem(circuit: Circuit, merge: bool = True) -> DetectorErrorModel:
 
     ``merge=False`` keeps one mechanism per visible fault.
     """
-    ops = circuit.operations
-    meas_bits, detector_labels, num_observables = _scan(ops)
-    num_detectors = len(detector_labels)
-    nwords = max(1, -(-(num_detectors + num_observables) // 64))
-    snaps, noise = _walk_back(ops, circuit.num_qubits, meas_bits)
-    buf = np.frombuffer(
-        b"".join(v.to_bytes(8 * nwords, "little") for v in snaps), dtype="<u8"
+    t = circuit.table
+    meas_rows, detector_labels, num_observables = _scan(circuit)
+    buf = kernels.walk_back(
+        t.gates, t.target_ptr, t.targets, meas_rows, circuit.num_qubits
     )
-    buf = buf.astype(np.uint64).reshape(-1, nwords)
-
-    fault_op, fault_slot, fault_prob, rows = _fault_table(noise)
-    sig = buf[rows[:, 0]] ^ buf[rows[:, 1]] ^ buf[rows[:, 2]] ^ buf[rows[:, 3]]
-    signatures, mech_of, visible = _group_signatures(sig, merge)
-    fault_mechanism = np.full(len(fault_op), -1, dtype=np.int32)
-    fault_mechanism[visible] = mech_of
+    noise_index = np.flatnonzero(gate_tables().noise[t.gates])
+    fault_op, fault_slot, fault_prob, sig = _fault_table(t, noise_index, buf)
+    signatures, fault_mechanism, probs = kernels.group_faults(sig, fault_prob, merge)
     return DetectorErrorModel(
-        probs=_compose(mech_of, fault_prob[visible], len(signatures)),
-        signatures=np.ascontiguousarray(signatures),
-        num_detectors=num_detectors,
+        probs=probs,
+        signatures=signatures,
+        num_detectors=len(detector_labels),
         num_observables=num_observables,
         detector_labels=detector_labels,
-        noise_ops=tuple(op for op, _ in noise),
+        circuit=circuit,
+        noise_index=noise_index,
         fault_op=fault_op,
         fault_slot=fault_slot,
         fault_mechanism=fault_mechanism,

@@ -101,3 +101,68 @@ class TestCircuit:
         text = str(self.make_small())
         assert "CNOT 0 1" in text
         assert "DETECTOR" in text
+
+
+class TestOpTable:
+    """The circuit is an op table; ``Operation``s are views of its rows."""
+
+    def test_append_checks_each_instruction(self):
+        c = Circuit()
+        with pytest.raises(ValueError, match="unknown gate"):
+            c.append("FOO", [0])
+        with pytest.raises(ValueError, match="groups of 2"):
+            c.append("CNOT", [0, 1, 2])
+        with pytest.raises(ValueError, match="probability argument"):
+            c.append("PAULI_CHANNEL_1", [0], [0.1])
+        assert len(c) == 0
+
+    def test_rows_and_views(self):
+        c = Circuit()
+        c.append("CNOT", [0, 1, 2, 3], label=("cnot", 0))
+        c.append("DEPOLARIZE2", [0, 1, 2, 3], [0.01], label=("cnot", 0))
+        c.append("OBSERVABLE_INCLUDE", [], [1])
+        t = c.table
+        assert t.target_ptr.tolist() == [0, 4, 8, 8]
+        assert t.arg_ptr.tolist() == [0, 0, 1, 2]
+        assert c.labels == [("cnot", 0), ()]  # interned once
+        assert t.label_ids.tolist() == [0, 0, 1]
+        op = list(c)[1]
+        assert (op.gate, op.targets, op.args, op.label) == (
+            "DEPOLARIZE2",
+            (0, 1, 2, 3),
+            (0.01,),
+            ("cnot", 0),
+        )
+        assert c.num_observables == 2
+
+    def test_views_follow_appends(self):
+        c = Circuit()
+        c.append("H", [0])
+        assert [op.gate for op in c] == ["H"]
+        c.append("M", [0])
+        assert [op.gate for op in c] == ["H", "M"] and c.num_qubits == 1
+
+    def test_equality_ignores_labels(self):
+        a, b = Circuit(), Circuit()
+        a.append("H", [0], label=("x",))
+        b.append("H", [0], label=("y",))
+        assert a == b
+        b.append("H", [1])
+        assert a != b
+
+    def test_pickle_drops_the_views(self):
+        import pickle
+
+        c = TestCircuit().make_small()
+        list(c)  # build the views
+        clone = pickle.loads(pickle.dumps(c))
+        assert clone._ops is None
+        assert clone == c and clone.labels == c.labels
+
+    def test_validate_reports_the_first_fault_in_op_order(self):
+        c = Circuit()
+        c.append("M", [0])
+        c.append("DETECTOR", [1])
+        c.append("H", [0])  # second touch of qubit 0, after the bad reference
+        with pytest.raises(ValueError, match="references measurement 1, only 1"):
+            c.validate()

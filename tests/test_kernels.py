@@ -107,7 +107,9 @@ class TestDeferredSelfTest:
             assert np.array_equal(got, REFERENCE.transpose_words(words, 130))
         assert ran == ["transpose_words"]
 
-    @pytest.mark.parametrize("wrong", ["popcount_words", "sample_fires"])
+    @pytest.mark.parametrize(
+        "wrong", ["popcount_words", "sample_fires", "walk_back", "group_faults"]
+    )
     def test_wrong_kernel_falls_back_alone(self, wrong):
         class OneWrongKernel(kernels.CNativeBackend):
             def popcount_words(self, words, axis=None):
@@ -118,6 +120,21 @@ class TestDeferredSelfTest:
             def sample_fires(self, bit_generator, shots, counts):
                 out = super().sample_fires(bit_generator, shots, counts)
                 return out[::-1].copy() if wrong == "sample_fires" else out
+
+            def walk_back(self, *table):
+                out = super().walk_back(*table)
+                if wrong == "walk_back":
+                    out[-1] ^= np.uint64(1)  # one snapshot bit off
+                return out
+
+            def group_faults(self, sig, probs, merge):
+                signatures, fault_mechanism, mech_probs = super().group_faults(
+                    sig, probs, merge
+                )
+                if wrong == "group_faults":
+                    # One ulp off, as another composition order would be.
+                    mech_probs = np.nextafter(mech_probs, 1.0)
+                return signatures, fault_mechanism, mech_probs
 
         backend = OneWrongKernel(kernels._compile_native())
         self._run_every_case(backend)

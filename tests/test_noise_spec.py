@@ -70,8 +70,8 @@ class TestRegistry:
             p: float
             KIND = "test-x-only"
 
-            def ops(self, targets, arity):
-                return [("PAULI_CHANNEL_1", targets, (self.p, 0.0, 0.0))]
+            def ops(self, arity):
+                return [("PAULI_CHANNEL_1", (self.p, 0.0, 0.0))]
 
             def to_payload(self):
                 return {"kind": self.KIND, "p": self.p}
@@ -344,15 +344,14 @@ class TestCorrelatedChannel:
 
     def test_lowers_to_pauli_channel_2(self):
         ch = CorrelatedPauliChannel.from_pairs({"XX": 0.01, "ZZ": 0.02})
-        ((gate, targets, args),) = ch.ops((3, 7), arity=2)
+        ((gate, args),) = ch.ops(arity=2)
         assert gate == "PAULI_CHANNEL_2"
-        assert targets == (3, 7)
         assert args[4] == 0.01 and args[14] == 0.02 and sum(args) == 0.03
 
     def test_rejects_single_qubit_slots(self):
         ch = CorrelatedPauliChannel.depolarizing(0.01)
         with pytest.raises(ValueError, match="cannot attach"):
-            ch.ops((0,), arity=1)
+            ch.ops(arity=1)
         # ...and the spec catches the misconfiguration at construction.
         with pytest.raises(ValueError, match="'sq' slot"):
             NoiseSpec(sq=ch)

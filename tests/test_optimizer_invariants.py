@@ -153,3 +153,47 @@ def test_check_candidate_never_builds_mechanism_objects(monkeypatch):
             break
     assert verified
     assert built and all(d._mechanisms is None for d in built)
+
+
+# Per unit, per iteration: (ambiguous found, verified, applied) of the
+# optimizer benchmark's seed-0 lp39 problems, as the object-based
+# transport (each source's Pauli name formatted, looked up one by one)
+# gave them.
+LP39_SEED0_COUNTS = [[(0, 0, 0)], [(1, 0, 0)], [(0, 0, 0)], [(1, 0, 0)]]
+
+
+def test_array_transport_matches_objects_on_lp39_problems(monkeypatch):
+    """On the optimizer benchmark's seed-0 lp39 problems, every §5.4
+    transport equals the one read off the mechanism objects, and the
+    verified counts are unchanged."""
+    from repro.circuits import coloration_schedule
+    from repro.codes import load_benchmark_code
+    from repro.core import pruning
+
+    real = pruning._transport_logical_error
+    calls = []
+
+    def checked(old_dem, new_dem, logical_error):
+        got = real(old_dem, new_dem, logical_error)
+        want = transport_from_mechanisms(old_dem, new_dem, logical_error)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+        calls.append(logical_error)
+        return got
+
+    monkeypatch.setattr(pruning, "_transport_logical_error", checked)
+    code = load_benchmark_code("lp39")
+    schedule = coloration_schedule(code)
+    counts = []
+    for k in range(len(LP39_SEED0_COUNTS)):
+        config = PropHuntConfig(
+            seed=k, iterations=1, samples_per_iteration=2, stop_when_quiet=False
+        )
+        result = PropHunt(code, config).optimize(schedule)
+        counts.append(
+            [
+                (r.ambiguous_found, r.changes_verified, r.changes_applied)
+                for r in result.history
+            ]
+        )
+    assert counts == LP39_SEED0_COUNTS
+    assert len(calls) > 10
